@@ -1,5 +1,7 @@
 #include "src/attack/attack.h"
 
+#include <span>
+
 namespace geattack {
 
 const GcnForwardContext& CachedForward(const AttackContext& ctx) {
@@ -58,20 +60,58 @@ std::vector<int64_t> DirectAddCandidates(const Tensor& adjacency,
   return candidates;
 }
 
-std::vector<int64_t> DirectAddCandidates(const Graph& graph, int64_t target,
-                                         const std::vector<int64_t>& labels,
-                                         int64_t required_label) {
-  const int64_t n = graph.num_nodes();
-  GEA_CHECK(target >= 0 && target < n);
-  const std::set<int64_t>& neighbors = graph.Neighbors(target);
+namespace {
+
+/// Every node other than `target` that is absent from its ascending
+/// neighbour row (and carries `required_label` when that is >= 0).
+template <class Row>
+std::vector<int64_t> CandidatesOffRow(const Row& neighbors, int64_t n,
+                                      int64_t target,
+                                      const std::vector<int64_t>& labels,
+                                      int64_t required_label) {
   std::vector<int64_t> candidates;
+  auto next = neighbors.begin();
   for (int64_t j = 0; j < n; ++j) {
+    if (next != neighbors.end() && *next == j) {
+      ++next;
+      continue;
+    }
     if (j == target) continue;
-    if (neighbors.count(j)) continue;
     if (required_label >= 0 && labels[ZU(j)] != required_label) continue;
     candidates.push_back(j);
   }
   return candidates;
+}
+
+}  // namespace
+
+std::vector<int64_t> DirectAddCandidates(const Graph& graph, int64_t target,
+                                         const std::vector<int64_t>& labels,
+                                         int64_t required_label) {
+  GEA_CHECK(target >= 0 && target < graph.num_nodes());
+  return CandidatesOffRow(graph.Neighbors(target), graph.num_nodes(), target,
+                          labels, required_label);
+}
+
+std::vector<int64_t> DirectAddCandidates(const CsrPattern& adjacency,
+                                         int64_t target,
+                                         const std::vector<int64_t>& labels,
+                                         int64_t required_label) {
+  GEA_CHECK(adjacency.rows == adjacency.cols);
+  GEA_CHECK(target >= 0 && target < adjacency.rows);
+  const int64_t* cols = adjacency.col_idx.data();
+  const std::span<const int64_t> row(cols + adjacency.row_ptr[ZU(target)],
+                                     cols + adjacency.row_ptr[ZU(target + 1)]);
+  return CandidatesOffRow(row, adjacency.rows, target, labels,
+                          required_label);
+}
+
+Tensor DensePerturbedAdjacency(const AttackContext& ctx,
+                               const std::vector<Edge>& added) {
+  if (ctx.clean_adjacency.rows() == 0) return Tensor();
+  Tensor adjacency = ctx.clean_adjacency;
+  for (const Edge& e : added) AddEdgeDense(&adjacency, e.u, e.v);
+  return adjacency;
 }
 
 Var TargetedAttackLoss(const GcnForwardContext& ctx, const Var& adjacency,

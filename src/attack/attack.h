@@ -136,11 +136,25 @@ std::vector<int64_t> DirectAddCandidates(const Tensor& adjacency,
                                          const std::vector<int64_t>& labels,
                                          int64_t required_label);
 
-/// Graph-based twin of DirectAddCandidates — O(n) with no dense adjacency,
-/// used by the sparse attack loops (identical candidate order).
+/// Graph-based twin of DirectAddCandidates — O(n) with no dense adjacency
+/// (identical candidate order).
 std::vector<int64_t> DirectAddCandidates(const Graph& graph, int64_t target,
                                          const std::vector<int64_t>& labels,
                                          int64_t required_label);
+
+/// CSR twin over a symmetric adjacency pattern with sorted rows — the sparse
+/// attack loops pass AttackContext::clean_csr (identical candidate order).
+std::vector<int64_t> DirectAddCandidates(const CsrPattern& adjacency,
+                                         int64_t target,
+                                         const std::vector<int64_t>& labels,
+                                         int64_t required_label);
+
+/// The context's dense clean adjacency with the `added` edges written
+/// symmetrically, or an empty tensor on a sparse-only context.  Adjacency
+/// values are exactly 0.0/1.0, so this is bit-identical to densifying the
+/// perturbed Graph, without ever copying the Graph.
+Tensor DensePerturbedAdjacency(const AttackContext& ctx,
+                               const std::vector<Edge>& added);
 
 /// The targeted attack loss of Eq. (4): -log f(Â, X)[v, ŷ], differentiable
 /// in the adjacency.

@@ -120,11 +120,10 @@ std::string ValidateRequest(const AttackContext& ctx,
   return std::string();
 }
 
-/// Rebuilds a replayed journal record into a full result.  Adjacency
-/// values are exactly 0.0/1.0, so clean + AddEdgeDense reproduces the
-/// attack's dense output bit-for-bit.  Returns false on a
-/// corrupt-but-parseable record (out-of-range endpoints) — the target is
-/// simply recomputed.
+/// Rebuilds a replayed journal record into a full result; the dense
+/// adjacency is DensePerturbedAdjacency of its picks, the same bits the
+/// attack returned.  Returns false on a corrupt-but-parseable record
+/// (out-of-range endpoints) — the target is simply recomputed.
 bool RebuildJournaledResult(const AttackContext& ctx,
                             const JournalRecord& record, AttackResult* out) {
   const int64_t n = ctx.data->num_nodes();
@@ -133,12 +132,8 @@ bool RebuildJournaledResult(const AttackContext& ctx,
       return false;
   *out = record.result;
   const StatusCode code = out->status.code();
-  if (ctx.clean_adjacency.rows() > 0 &&
-      (code == StatusCode::kOk || code == StatusCode::kTimedOut)) {
-    out->adjacency = ctx.clean_adjacency;
-    for (const Edge& e : out->added_edges)
-      AddEdgeDense(&out->adjacency, e.u, e.v);
-  }
+  if (code == StatusCode::kOk || code == StatusCode::kTimedOut)
+    out->adjacency = DensePerturbedAdjacency(ctx, out->added_edges);
   return true;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <unordered_set>
 
 #include "src/graph/subgraph.h"
@@ -90,7 +91,7 @@ std::vector<AttackResult> FgaAttack::AttackBatch(
   if (!use_sparse_ || k <= 1)
     return TargetedAttack::AttackBatch(ctx, requests, rngs);
   GEA_CHECK(requests.size() == rngs.size());
-  const Graph& clean = ctx.data->graph;
+  const CsrPattern& clean = *ctx.clean_csr.pattern();
 
   std::vector<int64_t> targets;
   std::vector<std::vector<int64_t>> candidates;
@@ -107,7 +108,10 @@ std::vector<AttackResult> FgaAttack::AttackBatch(
       MakeStackedAttackForward(bview, *ctx.model, CachedXw1(ctx));
 
   std::vector<AttackResult> results(static_cast<size_t>(k));
-  std::vector<Graph> current(static_cast<size_t>(k), clean);
+  // Per-target perturbed graphs, kept only by the modes that read them.
+  std::vector<Graph> current;
+  if (ReadsPerturbedGraph())
+    current.assign(static_cast<size_t>(k), ctx.data->graph);
   std::vector<std::vector<char>> active(static_cast<size_t>(k));
   std::vector<char> done(static_cast<size_t>(k), 0);
   int64_t max_budget = 0;
@@ -184,9 +188,11 @@ std::vector<AttackResult> FgaAttack::AttackBatch(
       const Tensor& g = grads[li].value();
 
       std::unordered_set<int64_t> excluded;
-      for (int64_t j :
-           ExcludedNodes(ctx, current[static_cast<size_t>(t)], req))
-        excluded.insert(j);
+      if (!current.empty()) {
+        for (int64_t j :
+             ExcludedNodes(ctx, current[static_cast<size_t>(t)], req))
+          excluded.insert(j);
+      }
 
       int64_t pick = -1;
       double best = std::numeric_limits<double>::infinity();
@@ -211,24 +217,22 @@ std::vector<AttackResult> FgaAttack::AttackBatch(
           pt.view->candidates_global[static_cast<size_t>(pick)];
       CommitCandidate(&pt, pick);
       active[static_cast<size_t>(t)][static_cast<size_t>(pick)] = 0;
-      current[static_cast<size_t>(t)].AddEdge(req.target_node, j);
+      if (!current.empty())
+        current[static_cast<size_t>(t)].AddEdge(req.target_node, j);
       results[static_cast<size_t>(t)].added_edges.emplace_back(
           req.target_node, j);
     }
   }
 
-  if (ctx.clean_adjacency.rows() > 0) {
-    for (int64_t t = 0; t < k; ++t)
-      results[static_cast<size_t>(t)].adjacency =
-          current[static_cast<size_t>(t)].DenseAdjacency();
-  }
+  for (AttackResult& r : results)
+    r.adjacency = DensePerturbedAdjacency(ctx, r.added_edges);
   return results;
 }
 
 AttackResult FgaAttack::AttackSparse(const AttackContext& ctx,
                                      const AttackRequest& request) const {
   AttackResult result;
-  const Graph& clean = ctx.data->graph;
+  const CsrPattern& clean = *ctx.clean_csr.pattern();
   const int64_t v = request.target_node;
   GEA_CHECK(targeted_ ? request.target_label >= 0 : true);
 
@@ -240,7 +244,9 @@ AttackResult FgaAttack::AttackSparse(const AttackContext& ctx,
       MakeSparseAttackForward(view, *ctx.model, CachedXw1(ctx));
   const int64_t m = view.num_candidates();
   std::vector<char> active(static_cast<size_t>(m), 1);
-  Graph current = clean;
+  // The perturbed graph, kept only by the modes that read it.
+  std::optional<Graph> current;
+  if (ReadsPerturbedGraph()) current = ctx.data->graph;
 
   for (int64_t step = 0; step < request.budget && m > 0; ++step) {
     if (Cancelled(request)) {
@@ -249,7 +255,7 @@ AttackResult FgaAttack::AttackSparse(const AttackContext& ctx,
     }
     int64_t label = request.target_label;
     if (!targeted_) {
-      label = ctx.model->LogitsFromGraph(current, ctx.data->features)
+      label = ctx.model->LogitsFromGraph(current.value(), ctx.data->features)
                   .ArgMaxRow(v);
     }
     Var w = Var::Leaf(Tensor::Zeros(m, 1), /*requires_grad=*/true, "w");
@@ -260,7 +266,10 @@ AttackResult FgaAttack::AttackSparse(const AttackContext& ctx,
     const Tensor g = GradOne(loss, w).value();
 
     std::unordered_set<int64_t> excluded;
-    for (int64_t j : ExcludedNodes(ctx, current, request)) excluded.insert(j);
+    if (current) {
+      for (int64_t j : ExcludedNodes(ctx, *current, request))
+        excluded.insert(j);
+    }
 
     int64_t pick = -1;
     double best = std::numeric_limits<double>::infinity();
@@ -278,14 +287,11 @@ AttackResult FgaAttack::AttackSparse(const AttackContext& ctx,
     const int64_t j = view.candidates_global[static_cast<size_t>(pick)];
     CommitCandidate(&sf, pick);
     active[static_cast<size_t>(pick)] = 0;
-    current.AddEdge(v, j);
+    if (current) current->AddEdge(v, j);
     result.added_edges.emplace_back(v, j);
   }
 
-  // Densify only when the context carries a dense clean adjacency (large
-  // sparse-only contexts skip it).
-  if (ctx.clean_adjacency.rows() > 0)
-    result.adjacency = current.DenseAdjacency();
+  result.adjacency = DensePerturbedAdjacency(ctx, result.added_edges);
   return result;
 }
 

@@ -50,11 +50,18 @@ class FgaAttack : public TargetedAttack {
  protected:
   /// Hook for FGA-T&E: returns candidate endpoints to exclude given the
   /// current (possibly already perturbed) graph.  Base implementation
-  /// excludes nothing.
+  /// excludes nothing.  The sparse paths call it only when
+  /// ReadsPerturbedGraph() is true, so an override must return true there.
   virtual std::vector<int64_t> ExcludedNodes(const AttackContext& ctx,
                                              const Graph& current,
                                              const AttackRequest& request)
       const;
+
+  /// Whether the greedy rounds read the perturbed graph: untargeted FGA
+  /// re-predicts on it and FGA-T&E explains it, so both keep a copy of the
+  /// clean graph plus the picks so far.  FGA-T reads neither and never
+  /// copies the graph.
+  virtual bool ReadsPerturbedGraph() const { return !targeted_; }
 
  private:
   AttackResult AttackDense(const AttackContext& ctx,

@@ -29,6 +29,7 @@ class FgaTeAttack : public FgaAttack {
                                      const Graph& current,
                                      const AttackRequest& request)
       const override;
+  bool ReadsPerturbedGraph() const override { return true; }
 
  private:
   GnnExplainerConfig explainer_config_;

@@ -85,7 +85,7 @@ AttackResult IgAttack::AttackDense(const AttackContext& ctx,
 AttackResult IgAttack::AttackSparse(const AttackContext& ctx,
                                     const AttackRequest& request) const {
   AttackResult result;
-  const Graph& clean = ctx.data->graph;
+  const CsrPattern& clean = *ctx.clean_csr.pattern();
   const int64_t v = request.target_node;
 
   const std::vector<int64_t> candidates =
@@ -96,7 +96,6 @@ AttackResult IgAttack::AttackSparse(const AttackContext& ctx,
       MakeSparseAttackForward(view, *ctx.model, CachedXw1(ctx));
   const int64_t m = view.num_candidates();
   std::vector<char> active(static_cast<size_t>(m), 1);
-  Graph current = clean;
 
   // Loss of the target label with candidate values `w`; gradient (m, 1).
   auto grad_at = [&](const Tensor& w_tensor) {
@@ -151,14 +150,12 @@ AttackResult IgAttack::AttackSparse(const AttackContext& ctx,
     const int64_t j = view.candidates_global[static_cast<size_t>(best)];
     CommitCandidate(&sf, best);
     active[static_cast<size_t>(best)] = 0;
-    current.AddEdge(v, j);
     result.added_edges.emplace_back(v, j);
   }
 
   if (timed_out || Cancelled(request))
     result.status = Status::TimedOut("deadline exceeded");
-  if (ctx.clean_adjacency.rows() > 0)
-    result.adjacency = current.DenseAdjacency();
+  result.adjacency = DensePerturbedAdjacency(ctx, result.added_edges);
   return result;
 }
 

@@ -89,7 +89,7 @@ std::vector<AttackResult> GeAttack::AttackBatch(
   if (!config_.use_sparse || k <= 1)
     return TargetedAttack::AttackBatch(ctx, requests, rngs);
   GEA_CHECK(requests.size() == rngs.size());
-  const Graph& clean = ctx.data->graph;
+  const CsrPattern& clean = *ctx.clean_csr.pattern();
 
   std::vector<int64_t> targets;
   std::vector<std::vector<int64_t>> candidates;
@@ -108,7 +108,6 @@ std::vector<AttackResult> GeAttack::AttackBatch(
   // Per-target state, each drawn from ITS OWN stream exactly as the serial
   // per-target loop draws it — the determinism anchor of the batched path.
   std::vector<AttackResult> results(static_cast<size_t>(k));
-  std::vector<Graph> current(static_cast<size_t>(k), clean);
   std::vector<Tensor> mask_init(static_cast<size_t>(k));
   std::vector<Tensor> b_vec(static_cast<size_t>(k));
   std::vector<std::vector<char>> active(static_cast<size_t>(k));
@@ -252,8 +251,6 @@ std::vector<AttackResult> GeAttack::AttackBatch(
           pt.view->candidates_global[static_cast<size_t>(pick)];
       CommitCandidate(&pt, pick);
       active[static_cast<size_t>(t)][static_cast<size_t>(pick)] = 0;
-      current[static_cast<size_t>(t)].AddEdge(
-          requests[static_cast<size_t>(t)].target_node, j);
       results[static_cast<size_t>(t)].added_edges.emplace_back(
           requests[static_cast<size_t>(t)].target_node, j);
       if (!config_.keep_penalty_on_added)
@@ -261,11 +258,8 @@ std::vector<AttackResult> GeAttack::AttackBatch(
     }
   }
 
-  if (ctx.clean_adjacency.rows() > 0) {
-    for (int64_t t = 0; t < k; ++t)
-      results[static_cast<size_t>(t)].adjacency =
-          current[static_cast<size_t>(t)].DenseAdjacency();
-  }
+  for (AttackResult& r : results)
+    r.adjacency = DensePerturbedAdjacency(ctx, r.added_edges);
   return results;
 }
 
@@ -273,7 +267,7 @@ AttackResult GeAttack::AttackSparse(const AttackContext& ctx,
                                     const AttackRequest& request,
                                     Rng* rng) const {
   AttackResult result;
-  const Graph& clean = ctx.data->graph;
+  const CsrPattern& clean = *ctx.clean_csr.pattern();
   const int64_t v = request.target_node;
   const int64_t label = request.target_label;
 
@@ -301,7 +295,6 @@ AttackResult GeAttack::AttackSparse(const AttackContext& ctx,
   // non-edge of row v, so its B entry starts at 1 and is zeroed on pick.
   Tensor b_vec = Tensor::Ones(m, 1);
   std::vector<char> active(static_cast<size_t>(m), 1);
-  Graph current = clean;
 
   bool timed_out = false;
   for (int64_t outer = 0; outer < request.budget && m > 0 && !timed_out;
@@ -357,15 +350,13 @@ AttackResult GeAttack::AttackSparse(const AttackContext& ctx,
     const int64_t j = view.candidates_global[static_cast<size_t>(pick)];
     CommitCandidate(&sf, pick);
     active[static_cast<size_t>(pick)] = 0;
-    current.AddEdge(v, j);
     result.added_edges.emplace_back(v, j);
     if (!config_.keep_penalty_on_added) b_vec.at(pick, 0) = 0.0;
   }
 
   if (timed_out || Cancelled(request))
     result.status = Status::TimedOut("deadline exceeded");
-  if (ctx.clean_adjacency.rows() > 0)
-    result.adjacency = current.DenseAdjacency();
+  result.adjacency = DensePerturbedAdjacency(ctx, result.added_edges);
   return result;
 }
 

@@ -100,7 +100,7 @@ AttackResult GeAttackPg::AttackDense(const AttackContext& ctx,
 AttackResult GeAttackPg::AttackSparse(const AttackContext& ctx,
                                       const AttackRequest& request) const {
   AttackResult result;
-  const Graph& clean = ctx.data->graph;
+  const CsrPattern& clean = *ctx.clean_csr.pattern();
   const int64_t v = request.target_node;
   const int64_t label = request.target_label;
   const int hops = explainer_->config().hops;
@@ -121,7 +121,8 @@ AttackResult GeAttackPg::AttackSparse(const AttackContext& ctx,
   Tensor b_vec = Tensor::Ones(m, 1);  // B over candidate slots (all clean
                                       // non-edges of row v start at 1).
   std::vector<char> active(static_cast<size_t>(m), 1);
-  Graph current = clean;
+  // The explainer's computation subgraph is read off the perturbed graph.
+  Graph current = ctx.data->graph;
 
   bool timed_out = false;
   for (int64_t outer = 0; outer < request.budget && m > 0 && !timed_out;

@@ -1,7 +1,10 @@
 #include "src/graph/subgraph.h"
 
 #include <algorithm>
+#include <numeric>
 #include <queue>
+#include <set>
+#include <span>
 
 namespace geattack {
 
@@ -47,176 +50,268 @@ int64_t SubgraphView::EdgeSlot(int64_t u_local, int64_t v_local) const {
   return -1;
 }
 
-SubgraphView BuildSubgraphView(
-    const Graph& graph, int64_t target, int hops,
-    const std::vector<int64_t>& candidates_global) {
-  const int64_t n = graph.num_nodes();
-  GEA_CHECK(target >= 0 && target < n);
-  for (int64_t c : candidates_global) {
-    GEA_CHECK(c >= 0 && c < n && c != target);
-    GEA_CHECK(!graph.HasEdge(target, c));
+namespace {
+
+// The two sources of sorted neighbour rows the builders below read: a
+// Graph's adjacency sets, or a symmetric CSR adjacency pattern with an
+// empty diagonal.  Both give Row(u) as an ascending range with size().
+
+class GraphRows {
+ public:
+  explicit GraphRows(const Graph& graph) : graph_(graph) {}
+  int64_t num_nodes() const { return graph_.num_nodes(); }
+  const std::set<int64_t>& Row(int64_t u) const {
+    return graph_.Neighbors(u);
   }
+
+ private:
+  const Graph& graph_;
+};
+
+class CsrRows {
+ public:
+  explicit CsrRows(const CsrPattern& adjacency) : p_(adjacency) {
+    GEA_CHECK(p_.rows == p_.cols);
+  }
+  int64_t num_nodes() const { return p_.rows; }
+  std::span<const int64_t> Row(int64_t u) const {
+    const int64_t* cols = p_.col_idx.data();
+    return {cols + p_.row_ptr[ZU(u)], cols + p_.row_ptr[ZU(u + 1)]};
+  }
+
+ private:
+  const CsrPattern& p_;
+};
+
+/// See AugmentedBallFlags.
+template <class Rows>
+std::vector<char> BallFlags(const Rows& rows, int64_t target, int hops,
+                            const std::vector<int64_t>& candidates_global) {
+  const int64_t n = rows.num_nodes();
+  std::vector<char> in_ball(ZU(n), 0);
+  if (hops < 0) {
+    std::fill(in_ball.begin(), in_ball.end(), 1);
+    return in_ball;
+  }
+  std::vector<int> dist(ZU(n), -1);
+  std::queue<int64_t> q;
+  dist[ZU(target)] = 0;
+  q.push(target);
+  if (hops >= 1) {
+    for (int64_t c : candidates_global) {
+      if (dist[ZU(c)] < 0) {
+        dist[ZU(c)] = 1;
+        q.push(c);
+      }
+    }
+  }
+  while (!q.empty()) {
+    const int64_t u = q.front();
+    q.pop();
+    if (dist[ZU(u)] >= hops) continue;
+    for (int64_t w : rows.Row(u)) {
+      if (dist[ZU(w)] < 0) {
+        dist[ZU(w)] = dist[ZU(u)] + 1;
+        q.push(w);
+      }
+    }
+  }
+  for (int64_t i = 0; i < n; ++i)
+    if (dist[ZU(i)] >= 0) in_ball[ZU(i)] = 1;
+  return in_ball;
+}
+
+template <class Rows>
+SubgraphView BuildView(const Rows& rows, int64_t target, int hops,
+                       const std::vector<int64_t>& candidates_global) {
+  const int64_t n = rows.num_nodes();
+  GEA_CHECK(target >= 0 && target < n);
+  for (int64_t c : candidates_global)
+    GEA_CHECK(c >= 0 && c < n && c != target);
 
   SubgraphView view;
   view.candidates_global = candidates_global;
-  view.global_to_local.assign(ZU(n), -1);
 
   // ----- Node set: hops-hop ball around the target in the augmented graph
   // (the candidate edges put every candidate at distance 1). -----
   if (hops < 0) {
     view.nodes.resize(ZU(n));
-    for (int64_t i = 0; i < n; ++i) view.nodes[ZU(i)] = i;
+    std::iota(view.nodes.begin(), view.nodes.end(), int64_t{0});
+    view.global_to_local = view.nodes;
   } else {
-    std::vector<int> dist(ZU(n), -1);
-    std::queue<int64_t> q;
-    dist[ZU(target)] = 0;
-    q.push(target);
-    if (hops >= 1) {
-      for (int64_t c : candidates_global) {
-        if (dist[ZU(c)] < 0) {
-          dist[ZU(c)] = 1;
-          q.push(c);
-        }
-      }
+    const std::vector<char> in_ball =
+        BallFlags(rows, target, hops, candidates_global);
+    view.global_to_local.assign(ZU(n), -1);
+    for (int64_t i = 0; i < n; ++i) {
+      if (!in_ball[ZU(i)]) continue;
+      view.global_to_local[ZU(i)] = view.num_nodes();
+      view.nodes.push_back(i);
     }
-    while (!q.empty()) {
-      const int64_t u = q.front();
-      q.pop();
-      if (dist[ZU(u)] >= hops) continue;
-      for (int64_t w : graph.Neighbors(u)) {
-        if (dist[ZU(w)] < 0) {
-          dist[ZU(w)] = dist[ZU(u)] + 1;
-          q.push(w);
-        }
-      }
-    }
-    for (int64_t i = 0; i < n; ++i)
-      if (dist[ZU(i)] >= 0) view.nodes.push_back(i);
   }
-  for (size_t l = 0; l < view.nodes.size(); ++l)
-    view.global_to_local[ZU(view.nodes[l])] =
-        static_cast<int64_t>(l);
-  view.target_local = view.global_to_local[ZU(target)];
+  const std::vector<int64_t>& to_local = view.global_to_local;
   const int64_t ns = view.num_nodes();
+  const int64_t t = to_local[ZU(target)];
+  view.target_local = t;
 
-  view.candidates_local.reserve(candidates_global.size());
-  for (int64_t c : candidates_global) {
-    const int64_t lc = view.global_to_local[ZU(c)];
-    GEA_CHECK(lc >= 0);  // Candidates are in the ball by construction.
+  const int64_t m = view.num_candidates();
+  std::vector<int64_t> cand_of_local(ZU(ns), -1);
+  view.candidates_local.reserve(ZU(m));
+  for (int64_t k = 0; k < m; ++k) {
+    const int64_t lc = to_local[ZU(candidates_global[ZU(k)])];
+    GEA_CHECK(lc >= 0);                    // In the ball by construction.
+    GEA_CHECK(cand_of_local[ZU(lc)] < 0);  // Distinct.
+    cand_of_local[ZU(lc)] = k;
     view.candidates_local.push_back(lc);
   }
-  const int64_t m = view.num_candidates();
+  // The target row's non-clean columns: its diagonal and every candidate,
+  // ascending.
+  std::vector<int64_t> target_extras;
+  target_extras.reserve(ZU(m) + 1);
+  for (int64_t l = 0; l < ns; ++l)
+    if (l == t || cand_of_local[ZU(l)] >= 0) target_extras.push_back(l);
 
-  // ----- Induced clean edges and out-degrees. -----
-  view.out_degree = Tensor(ns, 1);
-  for (int64_t l = 0; l < ns; ++l) {
-    const int64_t g = view.nodes[ZU(l)];
-    int64_t internal = 0;
-    for (int64_t w : graph.Neighbors(g)) {
-      const int64_t lw = view.global_to_local[ZU(w)];
-      if (lw < 0) continue;
-      ++internal;
-      if (l < lw) view.edges_local.push_back({l, lw});
-    }
-    view.out_degree.at(l, 0) =
-        static_cast<double>(graph.Degree(g) - internal);
-  }
-  // edges_local is already canonical-sorted: outer loop ascends l and
-  // Neighbors() is an ordered set, so (l, lw) pairs with l < lw come out in
-  // (u, v) lexicographic order.
-  const int64_t num_edges = view.num_edges();
-  const int64_t num_slots = num_edges + m;
+  // Exact for a full view; an upper bound for a ball.
+  int64_t max_nnz = ns + 2 * m;
+  for (const int64_t g : view.nodes)
+    max_nnz += static_cast<int64_t>(rows.Row(g).size());
+  const int64_t max_edges = (max_nnz - ns - 2 * m) / 2;
 
-  // ----- Augmented pattern: per-row sorted columns. -----
-  std::vector<std::vector<int64_t>> rows(ZU(ns));
-  for (int64_t l = 0; l < ns; ++l) rows[ZU(l)].push_back(l);
-  for (const IndexPair& e : view.edges_local) {
-    rows[ZU(e.u)].push_back(e.v);
-    rows[ZU(e.v)].push_back(e.u);
-  }
-  for (int64_t lc : view.candidates_local) {
-    rows[ZU(view.target_local)].push_back(lc);
-    rows[ZU(lc)].push_back(view.target_local);
-  }
+  // ----- One pass: augmented rows in order, with every nnz classified as
+  // it is written. -----
   auto pattern = std::make_shared<CsrPattern>();
   pattern->rows = pattern->cols = ns;
-  pattern->row_ptr.reserve(ZU(ns) + 1);
-  pattern->row_ptr.push_back(0);
+  pattern->row_ptr.resize(ZU(ns) + 1);
+  pattern->col_idx.resize(ZU(max_nnz));
+  std::vector<double> base(ZU(max_nnz));
+  // The two expansion operators are written alongside, one row per nnz: a
+  // slot entry on every off-diagonal nnz, a candidate entry on every
+  // candidate nnz.  Candidate slots are numbered after the clean edges, so
+  // their slot columns hold the candidate index until those are counted.
+  auto slot_op = std::make_shared<CsrPattern>();
+  slot_op->row_ptr.resize(ZU(max_nnz) + 1);
+  slot_op->col_idx.resize(ZU(max_nnz - ns));
+  auto cand_op = std::make_shared<CsrPattern>();
+  cand_op->row_ptr.resize(ZU(max_nnz) + 1);
+  cand_op->col_idx.resize(ZU(2 * m));
+  // Positions in slot_op->col_idx that hold a candidate index.
+  std::vector<int64_t> cand_slot_cols;
+  cand_slot_cols.reserve(ZU(2 * m));
+  std::vector<std::pair<int64_t, int64_t>> cand_nnz(ZU(m), {-1, -1});
+  view.edges_local.reserve(ZU(max_edges));
+  view.slot_nnz.reserve(ZU(max_edges + m));
+  view.diag_nnz.resize(ZU(ns));
+  view.out_degree = Tensor(ns, 1);
+  // next_slot[u]: row u's next upper clean slot not yet met from below.
+  // Row u's upper slots were opened in ascending column order, and rows
+  // are written in ascending order, so row v > u meets them in that order.
+  std::vector<int64_t> next_slot(ZU(ns));
+
+  int64_t* const col = pattern->col_idx.data();
+  double* const val = base.data();
+  int64_t* const slot_row = slot_op->row_ptr.data();
+  int64_t* const slot_col = slot_op->col_idx.data();
+  int64_t* const cand_row = cand_op->row_ptr.data();
+  int64_t* const cand_col = cand_op->col_idx.data();
+  int64_t e = 0;   // Next nnz.
+  int64_t se = 0;  // Next slot_op entry.
+  int64_t ce = 0;  // Next cand_op entry.
+  // Appends column j to the current row: its base value, its undirected
+  // slot (-1 on the diagonal) and its candidate index (-1 off candidates).
+  const auto append = [&](int64_t j, int64_t slot, int64_t cand) {
+    col[e] = j;
+    val[e] = cand < 0 ? 1.0 : 0.0;
+    if (cand >= 0) {
+      cand_slot_cols.push_back(se);
+      slot_col[se++] = cand;
+      cand_col[ce++] = cand;
+    } else if (slot >= 0) {
+      slot_col[se++] = slot;
+    }
+    ++e;
+    slot_row[e] = se;
+    cand_row[e] = ce;
+  };
+
   for (int64_t l = 0; l < ns; ++l) {
-    auto& row = rows[ZU(l)];
-    std::sort(row.begin(), row.end());
-    pattern->col_idx.insert(pattern->col_idx.end(), row.begin(), row.end());
-    pattern->row_ptr.push_back(static_cast<int64_t>(pattern->col_idx.size()));
-  }
-  const int64_t nnz = pattern->nnz();
-
-  // ----- Slot bookkeeping: classify every nnz position. -----
-  // slot_of_local_pair: for (u,v) with u < v, the undirected slot id.
-  view.slot_nnz.assign(ZU(num_slots), {-1, -1});
-  view.diag_nnz.assign(ZU(ns), -1);
-  std::vector<int64_t> slot_of_nnz(ZU(nnz), -1);
-  std::vector<int64_t> cand_of_nnz(ZU(nnz), -1);
-  // Candidate lookup for rows incident to the target.
-  std::vector<int64_t> cand_index_of_local(ZU(ns), -1);
-  for (int64_t k = 0; k < m; ++k)
-    cand_index_of_local[ZU(view.candidates_local[ZU(k)])] = k;
-
-  // Walk rows, resolving each (i, j) to diag / clean-edge / candidate.
-  // Clean-edge slot ids are recovered by the same lexicographic order used
-  // to emit edges_local.
-  {
-    // Map canonical pair -> slot via binary search on edges_local.
-    auto edge_slot = [&view](int64_t u, int64_t v) {
-      const IndexPair key{std::min(u, v), std::max(u, v)};
-      const auto it = std::lower_bound(
-          view.edges_local.begin(), view.edges_local.end(), key,
-          [](const IndexPair& a, const IndexPair& b) {
-            return a.u != b.u ? a.u < b.u : a.v < b.v;
-          });
-      GEA_CHECK(it != view.edges_local.end() && it->u == key.u &&
-                it->v == key.v);
-      return static_cast<int64_t>(it - view.edges_local.begin());
+    pattern->row_ptr[ZU(l)] = e;
+    next_slot[ZU(l)] = view.num_edges();
+    // Row l's non-clean columns, ascending: its diagonal, plus the target
+    // on a candidate's row or every candidate on the target's row.
+    int64_t own[2] = {l, l};
+    const int64_t* extra = own;
+    const int64_t* extra_end = own + 1;
+    if (l == t) {
+      extra = target_extras.data();
+      extra_end = extra + target_extras.size();
+    } else if (cand_of_local[ZU(l)] >= 0) {
+      own[0] = std::min(l, t);
+      own[1] = std::max(l, t);
+      extra_end = own + 2;
+    }
+    const auto append_extra = [&](int64_t j) {
+      if (j == l) {
+        view.diag_nnz[ZU(l)] = e;
+        append(j, -1, -1);
+        return;
+      }
+      const int64_t k = cand_of_local[ZU(l == t ? j : l)];
+      auto& [first, second] = cand_nnz[ZU(k)];
+      (first < 0 ? first : second) = e;
+      append(j, -1, k);
     };
-    for (int64_t i = 0; i < ns; ++i) {
-      for (int64_t e = pattern->row_ptr[ZU(i)]; e < pattern->row_ptr[ZU(i + 1)];
-           ++e) {
-        const int64_t j = pattern->col_idx[ZU(e)];
-        if (i == j) {
-          view.diag_nnz[ZU(i)] = e;
-          continue;
-        }
-        int64_t slot;
-        const bool target_row = i == view.target_local ||
-                                j == view.target_local;
-        const int64_t other = i == view.target_local ? j : i;
-        const int64_t cand =
-            target_row ? cand_index_of_local[ZU(other)] : -1;
-        if (cand >= 0) {
-          slot = num_edges + cand;
-          cand_of_nnz[ZU(e)] = cand;
-        } else {
-          slot = edge_slot(i, j);
-        }
-        slot_of_nnz[ZU(e)] = slot;
-        auto& pair = view.slot_nnz[ZU(slot)];
-        (pair.first < 0 ? pair.first : pair.second) = e;
+
+    const auto& row = rows.Row(view.nodes[ZU(l)]);
+    int64_t internal = 0;
+    for (const int64_t w : row) {
+      const int64_t j = to_local[ZU(w)];
+      if (j < 0) continue;
+      ++internal;
+      while (extra != extra_end && *extra < j) append_extra(*extra++);
+      // No self loop, and no candidate adjacent to the target.
+      GEA_CHECK(extra == extra_end || *extra != j);
+      if (l < j) {
+        view.edges_local.push_back({l, j});
+        view.slot_nnz.emplace_back(e, -1);
+        append(j, view.num_edges() - 1, -1);
+      } else {
+        const int64_t s = next_slot[ZU(j)]++;
+        view.slot_nnz[ZU(s)].second = e;
+        append(j, s, -1);
       }
     }
+    while (extra != extra_end) append_extra(*extra++);
+    view.out_degree.at(l, 0) =
+        static_cast<double>(static_cast<int64_t>(row.size()) - internal);
   }
+  const int64_t nnz = e;
+  pattern->row_ptr[ZU(ns)] = nnz;
+  pattern->col_idx.resize(ZU(nnz));
+  base.resize(ZU(nnz));
+  slot_op->row_ptr.resize(ZU(nnz) + 1);
+  slot_op->col_idx.resize(ZU(se));
+  cand_op->row_ptr.resize(ZU(nnz) + 1);
+
+  // ----- Candidate slots follow the clean edges. -----
+  const int64_t num_edges = view.num_edges();
+  const int64_t num_slots = num_edges + m;
+  for (const int64_t c : cand_slot_cols) slot_op->col_idx[ZU(c)] += num_edges;
+  view.slot_nnz.insert(view.slot_nnz.end(), cand_nnz.begin(), cand_nnz.end());
 
   // ----- Base values. -----
-  view.base_values = Tensor(nnz, 1);
-  for (int64_t e = 0; e < nnz; ++e) {
-    const int64_t slot = slot_of_nnz[ZU(e)];
-    view.base_values.at(e, 0) =
-        (slot < 0 /* diag */ || slot < num_edges) ? 1.0 : 0.0;
-  }
+  view.base_values = Tensor(nnz, 1, std::move(base));
   view.und_base = Tensor(num_slots, 1);
   for (int64_t s = 0; s < num_edges; ++s) view.und_base.at(s, 0) = 1.0;
 
   // ----- Constant operators. -----
-  view.slot_expand = UnitSelector(nnz, num_slots, slot_of_nnz);
-  view.cand_expand = UnitSelector(nnz, m, cand_of_nnz);
+  slot_op->rows = cand_op->rows = nnz;
+  slot_op->cols = num_slots;
+  cand_op->cols = m;
+  std::vector<double> slot_ones(slot_op->col_idx.size(), 1.0);
+  view.slot_expand = std::make_shared<const CsrMatrix>(std::move(slot_op),
+                                                       std::move(slot_ones));
+  std::vector<double> cand_ones(cand_op->col_idx.size(), 1.0);
+  view.cand_expand = std::make_shared<const CsrMatrix>(std::move(cand_op),
+                                                       std::move(cand_ones));
   {
     std::vector<int64_t> pad(ZU(num_slots), -1);
     for (int64_t k = 0; k < m; ++k)
@@ -230,6 +325,20 @@ SubgraphView BuildSubgraphView(
 
   view.pattern = std::move(pattern);
   return view;
+}
+
+}  // namespace
+
+SubgraphView BuildSubgraphView(
+    const Graph& graph, int64_t target, int hops,
+    const std::vector<int64_t>& candidates_global) {
+  return BuildView(GraphRows(graph), target, hops, candidates_global);
+}
+
+SubgraphView BuildSubgraphView(
+    const CsrPattern& adjacency, int64_t target, int hops,
+    const std::vector<int64_t>& candidates_global) {
+  return BuildView(CsrRows(adjacency), target, hops, candidates_global);
 }
 
 namespace {
@@ -253,53 +362,24 @@ int64_t FindPair(const std::vector<IndexPair>& pairs, int64_t u, int64_t v) {
 std::vector<char> AugmentedBallFlags(
     const Graph& graph, int64_t target, int hops,
     const std::vector<int64_t>& candidates_global) {
-  const int64_t n = graph.num_nodes();
-  std::vector<char> in_ball(ZU(n), 0);
-  if (hops < 0) {
-    std::fill(in_ball.begin(), in_ball.end(), 1);
-    return in_ball;
-  }
-  std::vector<int> dist(ZU(n), -1);
-  std::queue<int64_t> q;
-  dist[ZU(target)] = 0;
-  q.push(target);
-  if (hops >= 1) {
-    for (int64_t c : candidates_global) {
-      if (dist[ZU(c)] < 0) {
-        dist[ZU(c)] = 1;
-        q.push(c);
-      }
-    }
-  }
-  while (!q.empty()) {
-    const int64_t u = q.front();
-    q.pop();
-    if (dist[ZU(u)] >= hops) continue;
-    for (int64_t w : graph.Neighbors(u)) {
-      if (dist[ZU(w)] < 0) {
-        dist[ZU(w)] = dist[ZU(u)] + 1;
-        q.push(w);
-      }
-    }
-  }
-  for (int64_t i = 0; i < n; ++i)
-    if (dist[ZU(i)] >= 0) in_ball[ZU(i)] = 1;
-  return in_ball;
+  return BallFlags(GraphRows(graph), target, hops, candidates_global);
 }
 
 BatchedSubgraphView BuildBatchedSubgraphView(
-    const Graph& graph, const std::vector<int64_t>& targets, int hops,
+    const CsrPattern& adjacency, const std::vector<int64_t>& targets, int hops,
     const std::vector<std::vector<int64_t>>& candidates_global) {
-  const int64_t n = graph.num_nodes();
+  const CsrRows clean(adjacency);
+  const int64_t n = clean.num_nodes();
   const int64_t k = static_cast<int64_t>(targets.size());
   GEA_CHECK(k >= 1);
   GEA_CHECK(candidates_global.size() == targets.size());
   for (int64_t t = 0; t < k; ++t) {
-    GEA_CHECK(targets[ZU(t)] >= 0 &&
-              targets[ZU(t)] < n);
+    const int64_t v = targets[ZU(t)];
+    GEA_CHECK(v >= 0 && v < n);
+    const std::span<const int64_t> row = clean.Row(v);
     for (int64_t c : candidates_global[ZU(t)]) {
-      GEA_CHECK(c >= 0 && c < n && c != targets[ZU(t)]);
-      GEA_CHECK(!graph.HasEdge(targets[ZU(t)], c));
+      GEA_CHECK(c >= 0 && c < n && c != v);
+      GEA_CHECK(!std::binary_search(row.begin(), row.end(), c));
     }
   }
 
@@ -311,8 +391,7 @@ BatchedSubgraphView BuildBatchedSubgraphView(
   std::vector<std::vector<char>> ball(ZU(k));
   for (int64_t t = 0; t < k; ++t)
     ball[ZU(t)] =
-        AugmentedBallFlags(graph, targets[ZU(t)], hops,
-                           candidates_global[ZU(t)]);
+        BallFlags(clean, targets[ZU(t)], hops, candidates_global[ZU(t)]);
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t t = 0; t < k; ++t) {
       if (ball[ZU(t)][ZU(i)]) {
@@ -330,7 +409,7 @@ BatchedSubgraphView BuildBatchedSubgraphView(
   std::vector<IndexPair> union_edges;
   for (int64_t l = 0; l < ns; ++l) {
     const int64_t g = bv.nodes[ZU(l)];
-    for (int64_t w : graph.Neighbors(g)) {
+    for (int64_t w : clean.Row(g)) {
       const int64_t lw = bv.global_to_local[ZU(w)];
       if (lw >= 0 && l < lw) union_edges.push_back({l, lw});
     }
@@ -454,15 +533,16 @@ BatchedSubgraphView BuildBatchedSubgraphView(
     v.out_degree = Tensor(ns, 1);
     for (int64_t l = 0; l < ns; ++l) {
       const int64_t g = bv.nodes[ZU(l)];
+      const auto row = clean.Row(g);
+      const int64_t degree = static_cast<int64_t>(row.size());
       if (!bt[ZU(g)]) {
-        v.out_degree.at(l, 0) = static_cast<double>(graph.Degree(g)) + 1.0;
+        v.out_degree.at(l, 0) = static_cast<double>(degree) + 1.0;
         continue;
       }
       int64_t internal = 0;
-      for (int64_t w : graph.Neighbors(g))
+      for (int64_t w : row)
         if (bt[ZU(w)]) ++internal;
-      v.out_degree.at(l, 0) =
-          static_cast<double>(graph.Degree(g) - internal);
+      v.out_degree.at(l, 0) = static_cast<double>(degree - internal);
     }
 
     // Value-level masking: 1.0 only on t's own clean-edge and diagonal

@@ -117,7 +117,22 @@ struct SubgraphView {
 /// otherwise the view is the `hops`-hop ball around the target in the
 /// augmented graph (clean + candidate edges).  Candidates must be distinct
 /// from the target and not adjacent to it.
+///
+/// One pass over the view's rows writes each augmented CSR row in order:
+/// the diagonal and candidate columns are merged into the sorted neighbour
+/// row, an upper clean entry (u, v) with u < v opens the next undirected
+/// slot, and its mirror (v, u) takes that slot from a cursor over row u's
+/// upper slots.  O(n + nnz) for a full view, with no per-row sort or slot
+/// search.
 SubgraphView BuildSubgraphView(const Graph& graph, int64_t target, int hops,
+                               const std::vector<int64_t>& candidates_global);
+
+/// The same view, field for field, read from the clean graph's symmetric
+/// CSR adjacency (sorted rows, empty diagonal — AttackContext::clean_csr)
+/// instead of a Graph's adjacency sets.  The attack request paths use this
+/// one.
+SubgraphView BuildSubgraphView(const CsrPattern& adjacency, int64_t target,
+                               int hops,
                                const std::vector<int64_t>& candidates_global);
 
 /// The shared-subgraph layer of the batched multi-target attack path: ONE
@@ -157,13 +172,14 @@ struct BatchedSubgraphView {
   }
 };
 
-/// Builds the shared view for a group of targets.  `hops` as in
+/// Builds the shared view for a group of targets on the clean graph's CSR
+/// adjacency (as for the CSR BuildSubgraphView).  `hops` as in
 /// BuildSubgraphView (applied per target around its own ball);
 /// `candidates_global[t]` are target t's candidate endpoints (distinct from
 /// and non-adjacent to it).  Targets may repeat; shared candidate pairs
 /// (e.g. two targets proposing the same edge) collapse onto one slot.
 BatchedSubgraphView BuildBatchedSubgraphView(
-    const Graph& graph, const std::vector<int64_t>& targets, int hops,
+    const CsrPattern& adjacency, const std::vector<int64_t>& targets, int hops,
     const std::vector<std::vector<int64_t>>& candidates_global);
 
 /// Membership flags (size n, 0/1) of the `hops`-hop ball around `target` in

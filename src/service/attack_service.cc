@@ -283,15 +283,11 @@ RecoveryReport AttackService::Recover() {
         e->out.effective_budget = rec.effective_budget;
         AttackResult result = rec.result;
         const StatusCode code = result.status.code();
-        if (e->snap->ctx.clean_adjacency.rows() > 0 &&
-            (code == StatusCode::kOk || code == StatusCode::kTimedOut)) {
-          // Adjacency values are exactly 0.0/1.0: clean + AddEdgeDense
-          // reproduces the attack's dense output bit-for-bit (same rebuild
-          // the driver journal uses).
-          result.adjacency = e->snap->ctx.clean_adjacency;
-          for (const Edge& edge : result.added_edges)
-            AddEdgeDense(&result.adjacency, edge.u, edge.v);
-        }
+        // The same bits the attack returned (and the driver journal's
+        // rebuild).
+        if (code == StatusCode::kOk || code == StatusCode::kTimedOut)
+          result.adjacency =
+              DensePerturbedAdjacency(e->snap->ctx, result.added_edges);
         Finalize(e, std::move(result), /*from_replay=*/true);
         ++stats_.replayed_results;
         ++report.replayed_results;
@@ -668,10 +664,15 @@ void AttackService::DispatcherLoop() {
         e->out.seed =
             AttemptSeed(config_.base_seed, e->accepted_index, e->attempt - 1);
       }
-      const bool retry = !stopping_ &&
-                         IsRetryableStatus(result.status.code()) &&
-                         e->attempt < config_.max_attempts &&
-                         !e->token.Expired();
+      bool retry = !stopping_ && IsRetryableStatus(result.status.code()) &&
+                   e->attempt < config_.max_attempts && !e->token.Expired();
+      // A retry re-enters the bounded queue like a submission: with no free
+      // slot it is finalized with this attempt's failure instead.
+      if (retry &&
+          static_cast<int64_t>(pending_.size()) >= config_.queue_capacity) {
+        retry = false;
+        ++stats_.retries_refused;
+      }
       if (retry) {
         // Back off exponentially: retry r waits base * 2^(r-1) after the
         // failed attempt.  The retry draws from AttemptSeed(base, index,

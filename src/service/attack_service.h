@@ -112,7 +112,11 @@ struct AttackServiceConfig {
   /// Driver target-group size within a wave (see AttackDriverConfig).
   int batch_targets = 1;
   /// Bounded queue: Submit rejects with kResourceExhausted when this many
-  /// requests are already queued (in-flight waves do not count).
+  /// requests are already queued (in-flight waves do not count).  Retries
+  /// share the bound: a failed attempt whose retry finds the queue full is
+  /// finalized with that attempt's failure (counted in
+  /// ServiceStats::retries_refused), so the queue never holds more than
+  /// this many requests.
   int64_t queue_capacity = 64;
   /// Max targets dispatched per wave (one wave = one driver call over
   /// requests pinned to a single snapshot epoch).
@@ -255,6 +259,7 @@ struct ServiceStats {
   int64_t rejected_invalid = 0;   ///< kInvalidArgument / kNotFound rejects.
   int64_t shed = 0;               ///< Accepted, then shed under overload.
   int64_t retried = 0;            ///< Re-dispatched attempts (not requests).
+  int64_t retries_refused = 0;    ///< Retries finalized at a full queue.
   int64_t completed_ok = 0;
   int64_t failed = 0;             ///< Final kError / kInvalidArgument.
   int64_t timed_out = 0;          ///< Final kTimedOut (retries exhausted).

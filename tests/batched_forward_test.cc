@@ -89,7 +89,8 @@ void ExpectStackedMatchesStandalone(int hops, const Tensor& w_pattern) {
   ASSERT_GE(k, 3u);
 
   const BatchedSubgraphView bview = BuildBatchedSubgraphView(
-      f->data.graph, f->targets, hops, f->candidates);
+      *f->data.graph.CsrAdjacency().pattern(), f->targets, hops,
+      f->candidates);
   const StackedAttackForward ssf =
       MakeStackedAttackForward(bview, *f->model, f->xw1);
 
@@ -205,7 +206,8 @@ TEST(BatchedForwardTest, CommittedCandidatesStayBitEqual) {
   // forward must track the standalone one through commits.
   Fixture* f = SharedFixture();
   const BatchedSubgraphView bview = BuildBatchedSubgraphView(
-      f->data.graph, f->targets, /*hops=*/-1, f->candidates);
+      *f->data.graph.CsrAdjacency().pattern(), f->targets, /*hops=*/-1,
+      f->candidates);
   StackedAttackForward ssf =
       MakeStackedAttackForward(bview, *f->model, f->xw1);
 
@@ -238,7 +240,8 @@ TEST(BatchedForwardTest, StackedHypergradientMatchesFiniteDifferences) {
   // second-order gradients of GcnNormValuesStacked / SpMMValuesStacked.
   Fixture* f = SharedFixture();
   const BatchedSubgraphView bview = BuildBatchedSubgraphView(
-      f->data.graph, f->targets, /*hops=*/2, f->candidates);
+      *f->data.graph.CsrAdjacency().pattern(), f->targets, /*hops=*/2,
+      f->candidates);
   const StackedAttackForward ssf =
       MakeStackedAttackForward(bview, *f->model, f->xw1);
   const int64_t m0 = static_cast<int64_t>(f->candidates[0].size());
@@ -330,8 +333,8 @@ TEST(BatchedSubgraphTest, SharedCandidatePairsCollapse) {
         b = v;
       }
   ASSERT_GE(a, 0);
-  const BatchedSubgraphView bview =
-      BuildBatchedSubgraphView(g, {a, b}, /*hops=*/-1, {{b}, {a}});
+  const BatchedSubgraphView bview = BuildBatchedSubgraphView(
+      *g.CsrAdjacency().pattern(), {a, b}, /*hops=*/-1, {{b}, {a}});
   ASSERT_TRUE(bview.pattern->CheckInvariants());
   const auto& va = bview.per_target[0];
   const auto& vb = bview.per_target[1];

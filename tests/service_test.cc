@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -164,6 +165,44 @@ class FlakyAttack : public TargetedAttack {
   };
   const TargetedAttack* inner_;
   int64_t flaky_node_;
+  std::shared_ptr<State> state_;
+};
+
+/// Holds the first Attack() call on `node` until Release(), then fails it
+/// (throws); later calls on that node fail at once, and other nodes
+/// delegate untouched.  WaitEntered() returns once the held call has
+/// started, so a test can fill the queue behind an in-flight wave with no
+/// sleep and no clock.
+class LatchedFailure : public TargetedAttack {
+ public:
+  LatchedFailure(const TargetedAttack* inner, int64_t node)
+      : inner_(inner), node_(node), state_(std::make_shared<State>()) {}
+
+  std::string name() const override {
+    return "latched(" + inner_->name() + ")";
+  }
+
+  AttackResult Attack(const AttackContext& ctx, const AttackRequest& request,
+                      Rng* rng) const override {
+    if (request.target_node != node_) return inner_->Attack(ctx, request, rng);
+    if (!state_->held.exchange(true)) {
+      state_->entered.count_down();
+      state_->release.wait();
+    }
+    throw std::runtime_error("latched: failure after release");
+  }
+
+  void WaitEntered() const { state_->entered.wait(); }
+  void Release() const { state_->release.count_down(); }
+
+ private:
+  struct State {
+    std::atomic<bool> held{false};
+    std::latch entered{1};
+    std::latch release{1};
+  };
+  const TargetedAttack* inner_;
+  int64_t node_;
   std::shared_ptr<State> state_;
 };
 
@@ -594,6 +633,72 @@ TEST(ServiceRetryTest, TransientFaultRetriesToSuccessAndReplaysOffline) {
   EXPECT_EQ(st.completed_ok, static_cast<int64_t>(n));
 }
 
+TEST(ServiceRetryTest, RetryThatFindsQueueFullIsFinalizedWithItsFailure) {
+  Fixture* f = SharedFixture();
+  ASSERT_GE(f->requests.size(), 3u);
+  const FgaAttack inner(/*targeted=*/true);
+  const LatchedFailure latched(&inner, f->requests[0].target_node);
+
+  const uint64_t kBase = 71;
+  AttackServiceConfig cfg;
+  cfg.base_seed = kBase;
+  cfg.queue_capacity = 2;
+  cfg.wave_size = 1;
+  cfg.max_attempts = 3;
+  AttackService service(cfg);
+  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model, NoOwn(&latched),
+                                    /*dense_context=*/true).ok());
+  auto submit = [&](size_t i) {
+    AttackServiceRequest req;
+    req.graph = "g";
+    req.target_node = f->requests[i].target_node;
+    req.target_label = f->requests[i].target_label;
+    req.budget = f->requests[i].budget;
+    return service.Submit(req);
+  };
+
+  // Request 0's wave is held in flight while two more fill the queue.
+  const Admission held = submit(0);
+  ASSERT_TRUE(held.status.ok());
+  latched.WaitEntered();
+  const Admission a = submit(1);
+  const Admission b = submit(2);
+  EXPECT_TRUE(a.status.ok());
+  EXPECT_TRUE(b.status.ok());
+  EXPECT_EQ(service.stats().queue_depth, cfg.queue_capacity);
+
+  // The held attempt fails with the queue full: its retry has no slot, so
+  // the request is finalized with that attempt's failure.  (No ASSERT
+  // before this point: an early return would leave the wave held.)
+  latched.Release();
+  service.Drain();
+  const ServiceStats st = service.stats();
+  EXPECT_EQ(st.retries_refused, 1);
+  EXPECT_EQ(st.retried, 0);
+  EXPECT_LE(st.max_queue_depth, cfg.queue_capacity);
+  EXPECT_EQ(st.failed, 1);
+  EXPECT_EQ(st.completed_ok, 2);
+
+  const ServiceResult r = service.Take(held.ticket);
+  EXPECT_EQ(r.result.status.code(), StatusCode::kError);
+  EXPECT_EQ(r.attempts, 1);
+  EXPECT_EQ(r.seed, AttemptSeed(kBase, 0, 0));
+  EXPECT_TRUE(r.result.added_edges.empty());
+
+  // The queued requests are untouched by the refusal.
+  const std::vector<AttackResult> reference = OfflineReference(
+      f->ctx, inner, {f->requests[0], f->requests[1], f->requests[2]}, kBase,
+      /*threads=*/1);
+  const std::vector<int64_t> tickets = {a.ticket, b.ticket};
+  for (size_t i = 0; i < tickets.size(); ++i) {
+    const ServiceResult done = service.Take(tickets[i]);
+    const std::string where = "queued " + std::to_string(i);
+    EXPECT_TRUE(done.result.status.ok())
+        << where << ": " << done.result.status.ToString();
+    ExpectSameEdges(done.result, reference[i + 1], where);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Overload: shedding and degradation.
 // ---------------------------------------------------------------------------
@@ -892,7 +997,9 @@ TEST(ServiceSoakTest, OpenLoopFaultSoakLosesNothingAtAnyThreadCount) {
                                st.skipped + st.shed)
         << knobs;
     EXPECT_EQ(st.shed, 0) << knobs;  // Watermark disabled in this run.
-    EXPECT_GE(st.retried, 1) << knobs;  // Throw/NaN/flaky all retry once.
+    // Throw/NaN/flaky failures all retry once, unless the retry found the
+    // queue full (then the request ends with that attempt's failure).
+    EXPECT_GE(st.retried + st.retries_refused, 1) << knobs;
     EXPECT_LE(st.max_queue_depth, cfg.queue_capacity) << knobs;
 
     // The offline reference strips the fault decorators: for every request
@@ -903,6 +1010,7 @@ TEST(ServiceSoakTest, OpenLoopFaultSoakLosesNothingAtAnyThreadCount) {
         OfflineReference(f->ctx, inner, accepted, base, threads);
     std::vector<bool> seen(accepted.size(), false);
     int64_t retried_ok = 0;
+    int64_t refused = 0;
     for (const Submitted& s : live) {
       const ServiceResult r = service.Take(s.ticket);
       const std::string where =
@@ -937,10 +1045,19 @@ TEST(ServiceSoakTest, OpenLoopFaultSoakLosesNothingAtAnyThreadCount) {
           }
           break;
         case StatusCode::kError:
-          // Deterministic faults exhaust both attempts and stay contained.
-          EXPECT_TRUE(node == throw_node || node == nan_node) << where;
-          EXPECT_EQ(r.attempts, cfg.max_attempts) << where;
           EXPECT_TRUE(r.result.added_edges.empty()) << where;
+          if (r.attempts == cfg.max_attempts) {
+            // Deterministic faults exhaust both attempts and stay
+            // contained.
+            EXPECT_TRUE(node == throw_node || node == nan_node) << where;
+          } else {
+            // A failed first attempt whose retry found the queue full.
+            EXPECT_EQ(r.attempts, 1) << where;
+            EXPECT_TRUE(node == throw_node || node == nan_node ||
+                        node == flaky_node)
+                << where;
+            ++refused;
+          }
           break;
         case StatusCode::kSkipped:
           // Cancelled while queued: no attempt, no stream consumed.
@@ -967,6 +1084,7 @@ TEST(ServiceSoakTest, OpenLoopFaultSoakLosesNothingAtAnyThreadCount) {
               static_cast<int64_t>(accepted.size()))
         << knobs;
     EXPECT_LE(retried_ok, 1) << knobs;  // The flaky fault fires once.
+    EXPECT_EQ(refused, st.retries_refused) << knobs;
   }
 }
 
