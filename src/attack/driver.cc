@@ -1,8 +1,8 @@
 #include "src/attack/driver.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -32,62 +32,6 @@ uint64_t TargetSeed(uint64_t base_seed, int64_t target_index) {
 }
 
 namespace {
-
-/// Per-worker target queues with stealing.  Each worker pops from the front
-/// of its own queue and, when empty, steals from the *back* of the busiest
-/// other queue — classic work stealing at per-target granularity (a mutex
-/// per queue is plenty at this grain; tasks run for milliseconds to
-/// seconds).
-class StealingQueues {
- public:
-  StealingQueues(int64_t num_tasks, int num_workers)
-      : queues_(static_cast<size_t>(num_workers)),
-        mutexes_(static_cast<size_t>(num_workers)) {
-    // Round-robin initial distribution keeps neighboring targets (often
-    // similar cost) spread across workers.
-    for (int64_t t = 0; t < num_tasks; ++t)
-      queues_[static_cast<size_t>(t % num_workers)].push_back(t);
-  }
-
-  /// Next task for `worker`, or -1 when every queue is drained.
-  int64_t Pop(int worker) {
-    {
-      std::lock_guard<std::mutex> lock(mutexes_[static_cast<size_t>(worker)]);
-      auto& q = queues_[static_cast<size_t>(worker)];
-      if (!q.empty()) {
-        const int64_t t = q.front();
-        q.pop_front();
-        return t;
-      }
-    }
-    // Steal from the victim with the most remaining work.
-    const int n = static_cast<int>(queues_.size());
-    for (int attempt = 0; attempt < n; ++attempt) {
-      int victim = -1;
-      size_t best = 0;
-      for (int w = 0; w < n; ++w) {
-        if (w == worker) continue;
-        std::lock_guard<std::mutex> lock(mutexes_[static_cast<size_t>(w)]);
-        if (queues_[static_cast<size_t>(w)].size() > best) {
-          best = queues_[static_cast<size_t>(w)].size();
-          victim = w;
-        }
-      }
-      if (victim < 0) return -1;
-      std::lock_guard<std::mutex> lock(mutexes_[static_cast<size_t>(victim)]);
-      auto& q = queues_[static_cast<size_t>(victim)];
-      if (q.empty()) continue;  // Raced; rescan.
-      const int64_t t = q.back();
-      q.pop_back();
-      return t;
-    }
-    return -1;
-  }
-
- private:
-  std::vector<std::deque<int64_t>> queues_;
-  std::vector<std::mutex> mutexes_;
-};
 
 void WarmSharedCaches(const AttackContext& ctx) {
   // Build the lazily-initialized shared structures every attacker touches
@@ -396,20 +340,21 @@ std::vector<AttackResult> RunMultiTargetAttack(
   // pure scheduling knob.
   const int omp_budget = std::max(1, omp_get_max_threads() / threads);
 #endif
-  StealingQueues queues(static_cast<int64_t>(groups.size()), threads);
+  // One shared queue in caller order: each idle worker takes the next
+  // group, so a caller that lists its costliest targets first gets list
+  // scheduling.  Seeds are bound to request indices, so the schedule never
+  // changes a result.
+  const int64_t num_groups = static_cast<int64_t>(groups.size());
+  std::atomic<int64_t> next_group{0};
   std::vector<std::thread> workers;
   workers.reserve(static_cast<size_t>(threads));
   for (int w = 0; w < threads; ++w) {
-    workers.emplace_back([&queues, &run_group, w
-#ifdef _OPENMP
-                          ,
-                          omp_budget
-#endif
-    ] {
+    workers.emplace_back([&] {
 #ifdef _OPENMP
       omp_set_num_threads(omp_budget);
 #endif
-      for (int64_t t = queues.Pop(w); t >= 0; t = queues.Pop(w)) run_group(t);
+      for (int64_t gi = next_group++; gi < num_groups; gi = next_group++)
+        run_group(gi);
     });
   }
   for (std::thread& t : workers) t.join();

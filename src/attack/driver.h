@@ -5,7 +5,7 @@
 // (trained model, clean CSR, folded X·W₁) is read-only, and all mutable
 // state (SubgraphView, SparseAttackForward, autodiff graphs) is built per
 // target.  That makes the per-target loop embarrassingly parallel — this
-// module runs it on a work-stealing thread pool.
+// module runs it on a thread pool fed from one shared queue in caller order.
 //
 // Determinism contract: results are *bit-identical* to running the targets
 // one by one in a single thread, regardless of thread count or scheduling.
@@ -99,9 +99,12 @@ struct AttackDriverConfig {
 
 /// Runs `attack` on every request against the shared read-only `ctx` and
 /// returns results in request order.  Bit-identical output for any
-/// `num_threads` and any `batch_targets`.  Workers steal whole tasks
-/// (targets, or target groups) from each other's queues, so one slow task
-/// (e.g. a hub node with a huge candidate set) does not serialize the tail.
+/// `num_threads` and any `batch_targets`.  Workers take whole tasks
+/// (targets, or target groups) from one shared queue in caller order: each
+/// idle worker takes the next task.  List the costliest targets first (e.g.
+/// a hub node with a huge candidate set, or the largest budget) so that no
+/// slow task starts last and serializes the tail.  The schedule never
+/// affects seeds: request i always draws from its own stream.
 ///
 /// Fault containment: requests with an out-of-range target_node /
 /// target_label or a negative budget come back as kInvalidArgument without

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <ranges>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -903,31 +904,51 @@ std::vector<Var> Grad(const Var& output, const std::vector<Var>& inputs,
     }
   }
 
+  // Keep only the nodes on a path from a requested input to `output`: the
+  // relevant inputs, and every relevant node with a kept parent.  A node's
+  // id is strictly greater than all of its parents' ids, so one ascending-id
+  // pass decides each node after its parents.  Every contribution to a kept
+  // node comes from a kept child, so skipping the rest changes no bit of the
+  // returned gradients; it skips only gradients nobody reads.  This is what
+  // makes T unrolled inner steps cost O(T): step t's backward never walks
+  // back through steps 0..t-1.
+  std::unordered_set<Node*> kept;
+  kept.reserve(relevant.size());
+  for (const Var& in : inputs) {
+    GEA_CHECK(in.defined());
+    if (relevant.count(in.node())) kept.insert(in.node());
+  }
+  std::vector<Node*> ascending(relevant.begin(), relevant.end());
+  std::sort(ascending.begin(), ascending.end(),
+            [](Node* x, Node* y) { return x->id() < y->id(); });
+  std::vector<Node*> order;  // Kept nodes with a kept parent, ascending id.
+  for (Node* n : ascending) {
+    const auto& parents = n->parents();
+    if (std::any_of(parents.begin(), parents.end(),
+                    [&](const std::shared_ptr<Node>& p) {
+                      return kept.count(p.get()) > 0;
+                    })) {
+      kept.insert(n);
+      order.push_back(n);
+    }
+  }
+
   // Accumulated gradient per node, and the shared_ptr owner for each node so
   // we can wrap parents back into Vars.
   std::unordered_map<Node*, Var> grads;
-  grads.reserve(relevant.size());
+  grads.reserve(kept.size());
   grads.emplace(output.node(),
                 Constant(Tensor::Ones(output.rows(), output.cols()), "seed"));
 
-  // Process in reverse creation order: a node's id is strictly greater than
-  // all of its parents' ids, so descending id order is a reverse
-  // topological order of the forward graph.
-  std::vector<Node*> order(relevant.begin(), relevant.end());
-  std::sort(order.begin(), order.end(),
-            [](Node* x, Node* y) { return x->id() > y->id(); });
-
-  for (Node* n : order) {
-    auto it = grads.find(n);
-    if (it == grads.end()) continue;  // Not on a path from output.
-    const Var& g = it->second;
-    if (!n->backward()) continue;  // Leaf.
-    std::vector<Var> parent_grads = n->backward()(g);
+  // Process in reverse creation order, a reverse topological order.  Every
+  // kept node lies on a path to `output` and all its kept children have
+  // larger ids, so its gradient is complete when it is reached.
+  for (Node* n : std::views::reverse(order)) {
+    std::vector<Var> parent_grads = n->backward()(grads.at(n));
     GEA_CHECK(parent_grads.size() == n->parents().size());
     for (size_t k = 0; k < parent_grads.size(); ++k) {
       Node* p = n->parents()[k].get();
-      if (p == nullptr || !p->requires_grad()) continue;
-      if (!relevant.count(p)) continue;
+      if (!kept.count(p)) continue;
       GEA_CHECK(parent_grads[k].defined());
       auto pit = grads.find(p);
       if (pit == grads.end()) {
@@ -941,7 +962,6 @@ std::vector<Var> Grad(const Var& output, const std::vector<Var>& inputs,
   std::vector<Var> result;
   result.reserve(inputs.size());
   for (const Var& in : inputs) {
-    GEA_CHECK(in.defined());
     auto it = grads.find(in.node());
     Var g;
     if (it == grads.end()) {

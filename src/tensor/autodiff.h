@@ -322,7 +322,10 @@ struct GradOptions {
 /// Gradients of `output` (any shape; seeded with ones) with respect to each
 /// of `inputs`.  Inputs need not be leaves: the gradient at an interior node
 /// is the sum of upstream contributions flowing into it.  Inputs that do not
-/// influence `output` get a zero gradient of their shape.
+/// influence `output` get a zero gradient of their shape.  The backward
+/// visits only the subgraph between the inputs and `output` (the nodes on a
+/// path from an input to it), so differentiating step t of an unrolled loop
+/// with respect to that step's iterate costs the same at every t.
 std::vector<Var> Grad(const Var& output, const std::vector<Var>& inputs,
                       const GradOptions& options = {});
 

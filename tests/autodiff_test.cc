@@ -1,9 +1,15 @@
-// Unit tests for the autodiff engine: op semantics, graph mechanics, and
-// first/second-order differentiation on hand-computable cases.
+// Unit tests for the autodiff engine: op semantics, graph mechanics,
+// first/second-order differentiation on hand-computable cases, and Grad
+// checked bit for bit against its unpruned predecessor.
 
 #include "src/tensor/autodiff.h"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/tensor/random.h"
@@ -286,6 +292,181 @@ TEST(AutodiffTest, NodeCountMonotone) {
   Var y = Mul(x, x);
   (void)y;
   EXPECT_GT(NodeCount(), before);
+}
+
+// ----- Grad against its unpruned oracle. ------------------------------------
+
+// The engine's Grad before it skipped nodes off every input-to-output path,
+// kept verbatim as the oracle: it back-propagates through every ancestor of
+// `output` that requires grad.  The pruned Grad must return the same bits.
+std::vector<Var> ReferenceGrad(const Var& output,
+                               const std::vector<Var>& inputs,
+                               const GradOptions& options) {
+  GEA_CHECK(output.defined());
+
+  // Collect the set of ancestor nodes of `output` that require grad,
+  // pruning branches with no grad-requiring nodes.
+  std::unordered_set<Node*> relevant;
+  relevant.reserve(1024);  // Attack graphs run to thousands of nodes;
+                           // growing from the default bucket count spends
+                           // more time rehashing than walking.
+  {
+    std::vector<Node*> stack{output.node()};
+    std::unordered_set<Node*> visited;
+    visited.reserve(1024);
+    while (!stack.empty()) {
+      Node* n = stack.back();
+      stack.pop_back();
+      if (n == nullptr || !visited.insert(n).second) continue;
+      if (!n->requires_grad()) continue;
+      relevant.insert(n);
+      for (const auto& p : n->parents()) stack.push_back(p.get());
+    }
+  }
+
+  // Accumulated gradient per node, and the shared_ptr owner for each node so
+  // we can wrap parents back into Vars.
+  std::unordered_map<Node*, Var> grads;
+  grads.reserve(relevant.size());
+  grads.emplace(output.node(),
+                Constant(Tensor::Ones(output.rows(), output.cols()), "seed"));
+
+  // Process in reverse creation order: a node's id is strictly greater than
+  // all of its parents' ids, so descending id order is a reverse
+  // topological order of the forward graph.
+  std::vector<Node*> order(relevant.begin(), relevant.end());
+  std::sort(order.begin(), order.end(),
+            [](Node* x, Node* y) { return x->id() > y->id(); });
+
+  for (Node* n : order) {
+    auto it = grads.find(n);
+    if (it == grads.end()) continue;  // Not on a path from output.
+    const Var& g = it->second;
+    if (!n->backward()) continue;  // Leaf.
+    std::vector<Var> parent_grads = n->backward()(g);
+    GEA_CHECK(parent_grads.size() == n->parents().size());
+    for (size_t k = 0; k < parent_grads.size(); ++k) {
+      Node* p = n->parents()[k].get();
+      if (p == nullptr || !p->requires_grad()) continue;
+      if (!relevant.count(p)) continue;
+      GEA_CHECK(parent_grads[k].defined());
+      auto pit = grads.find(p);
+      if (pit == grads.end()) {
+        grads.emplace(p, parent_grads[k]);
+      } else {
+        pit->second = Add(pit->second, parent_grads[k]);
+      }
+    }
+  }
+
+  std::vector<Var> result;
+  result.reserve(inputs.size());
+  for (const Var& in : inputs) {
+    GEA_CHECK(in.defined());
+    auto it = grads.find(in.node());
+    Var g;
+    if (it == grads.end()) {
+      g = Constant(Tensor::Zeros(in.rows(), in.cols()), "zero_grad");
+    } else {
+      g = options.create_graph ? it->second : Detach(it->second);
+    }
+    result.push_back(g);
+  }
+  return result;
+}
+
+using GradFn = std::vector<Var> (*)(const Var&, const std::vector<Var>&,
+                                    const GradOptions&);
+
+void ExpectBitEqual(const Tensor& a, const Tensor& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  for (size_t i = 0; i < a.data().size(); ++i)
+    EXPECT_EQ(a.data()[i], b.data()[i]) << "element " << i;
+}
+
+struct UnrolledRun {
+  std::vector<Tensor> inner;         // ∂L_in/∂M at each step.
+  std::vector<int64_t> inner_nodes;  // Nodes each inner backward created.
+  Tensor outer;                      // ∂L_out/∂w through all T steps.
+};
+
+// GEAttack's bilevel loop in miniature, over four edge slots: leaves w (the
+// relaxed candidate values) and M⁰ (the explainer mask); T inner steps
+// M ← M − η·∂L_in/∂M, each differentiated with create_graph; then the outer
+// loss, an attack term in w plus a penalty on the final M, differentiated
+// with respect to w through every inner step.
+UnrolledRun RunUnrolled(GradFn grad, int steps) {
+  const Var x = Constant(Tensor(4, 1, {1.0, 2.0, -1.5, 0.5}), "x");
+  Var w = Var::Leaf(Tensor(4, 1, {0.5, -1.0, 2.0, 0.25}), true, "w");
+  Var mu = Var::Leaf(Tensor(4, 1, {0.1, -0.3, 0.7, 0.2}), true, "M0");
+  UnrolledRun run;
+  for (int t = 0; t < steps; ++t) {
+    Var logits = Transpose(Mul(Mul(w, Sigmoid(mu)), x));
+    Var inner_loss = NllRow(logits, 0, 1);
+    const int64_t before = NodeCount();
+    Var p = grad(inner_loss, {mu}, {.create_graph = true})[0];
+    run.inner_nodes.push_back(NodeCount() - before);
+    run.inner.push_back(p.value());
+    mu = Sub(mu, MulScalar(p, 0.3));
+  }
+  Var attack_loss = NllRow(Transpose(Mul(w, x)), 0, 2);
+  Var total = Add(attack_loss, MulScalar(Sum(mu), 0.7));
+  run.outer = grad(total, {w}, {})[0].value();
+  return run;
+}
+
+TEST(GradOracleTest, UnrolledLoopMatchesReferenceBitForBit) {
+  for (int steps : {0, 1, 2, 5}) {
+    SCOPED_TRACE("T = " + std::to_string(steps));
+    const UnrolledRun want = RunUnrolled(&ReferenceGrad, steps);
+    const UnrolledRun got = RunUnrolled(&Grad, steps);
+    ASSERT_EQ(got.inner.size(), want.inner.size());
+    for (size_t t = 0; t < want.inner.size(); ++t)
+      ExpectBitEqual(got.inner[t], want.inner[t]);
+    ExpectBitEqual(got.outer, want.outer);
+  }
+}
+
+TEST(GradOracleTest, InnerBackwardSizeIndependentOfStep) {
+  // Step t's inner backward reaches M⁰ through steps 0..t-1, but none of
+  // that lies between its input (M at step t) and its loss.  The oracle
+  // walks it anyway, so its node count grows with t; the pruned Grad
+  // creates the same number of nodes at every step.
+  const UnrolledRun run = RunUnrolled(&Grad, 5);
+  const UnrolledRun oracle = RunUnrolled(&ReferenceGrad, 5);
+  EXPECT_EQ(run.inner_nodes[0], oracle.inner_nodes[0]);
+  for (size_t t = 1; t < run.inner_nodes.size(); ++t) {
+    EXPECT_EQ(run.inner_nodes[t], run.inner_nodes[0]) << "step " << t;
+    EXPECT_GT(oracle.inner_nodes[t], oracle.inner_nodes[t - 1])
+        << "step " << t;
+  }
+}
+
+TEST(GradOracleTest, InteriorDuplicatedAndUnreachedInputs) {
+  const auto build = [](GradFn grad) {
+    Var x = Var::Leaf(Tensor(3, 1, {0.4, -1.2, 0.9}), true, "x");
+    Var y = Var::Leaf(Tensor(3, 1, {1.5, 0.3, -0.8}), true, "y");
+    Var unreached = Var::Leaf(Tensor(3, 1, {2.0, 2.0, 2.0}), true, "u");
+    Var z = Mul(Sigmoid(x), y);  // Interior input; x also reaches z.
+    Var out = Sum(Mul(Exp(z), Add(x, y)));
+    std::vector<Var> gs =
+        grad(out, {z, x, z, unreached, y}, {.create_graph = true});
+    // Differentiate a first-order gradient again, through the same engine.
+    gs.push_back(grad(Sum(Mul(gs[1], gs[0])), {x, y}, {})[0]);
+    std::vector<Tensor> values;
+    for (const Var& g : gs) values.push_back(g.value());
+    return values;
+  };
+  const std::vector<Tensor> want = build(&ReferenceGrad);
+  const std::vector<Tensor> got = build(&Grad);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE("gradient " + std::to_string(i));
+    ExpectBitEqual(got[i], want[i]);
+  }
+  ExpectBitEqual(got[3], Tensor::Zeros(3, 1));  // `unreached`.
+  ExpectBitEqual(got[0], got[2]);               // Duplicated input.
 }
 
 }  // namespace

@@ -3,10 +3,14 @@
 // (num_threads = 1, batch_targets = 1) reference at 2/4/8 workers AND at
 // target-group sizes 1/2/4 — the per-target RNG streams, the
 // reassociation-free kernels, and the value-level target isolation of the
-// stacked batched path make both scheduling and grouping invisible.
+// stacked batched path make both scheduling and grouping invisible.  Also
+// pins the schedule itself: workers take targets in caller order.
 
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -189,6 +193,52 @@ TEST(DriverTest, EvaluateAttackThreadedMatchesSerialDriver) {
   EXPECT_EQ(a.detection.recall, c.detection.recall);
   EXPECT_EQ(a.detection.f1, c.detection.f1);
   EXPECT_EQ(a.detection.ndcg, c.detection.ndcg);
+}
+
+// Holds request 0 until the other requests have all run, and records the
+// order they ran in.  Each request's target_node is its index.
+class OrderRecordingAttack : public TargetedAttack {
+ public:
+  explicit OrderRecordingAttack(size_t others) : others_(others) {}
+  std::string name() const override { return "order-recording"; }
+  AttackResult Attack(const AttackContext&, const AttackRequest& request,
+                      Rng*) const override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (request.target_node == 0) {
+      others_done_.wait(lock, [&] { return order_.size() == others_; });
+    } else {
+      order_.push_back(request.target_node);
+      others_done_.notify_all();
+    }
+    return AttackResult();
+  }
+  std::vector<int64_t> order() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return order_;
+  }
+
+ private:
+  const size_t others_;
+  mutable std::mutex mutex_;
+  mutable std::condition_variable others_done_;
+  mutable std::vector<int64_t> order_;
+};
+
+TEST(DriverTest, WorkersTakeTargetsInCallerOrder) {
+  // One worker is held by request 0, so the other must take requests 1..5
+  // in the order the caller listed them: the driver hands out targets from
+  // one shared queue, so a caller that lists its costliest targets first
+  // never finds one of them started last.
+  Fixture* f = SharedFixture();
+  std::vector<AttackRequest> requests;
+  for (int64_t i = 0; i < 6; ++i) requests.push_back({i, -1, 1});
+  const OrderRecordingAttack attack(requests.size() - 1);
+  AttackDriverConfig config;
+  config.num_threads = 2;
+  const std::vector<AttackResult> results =
+      RunMultiTargetAttack(f->ctx, attack, requests, config);
+  for (const AttackResult& r : results) EXPECT_TRUE(r.status.ok());
+  EXPECT_EQ(attack.order(), (std::vector<int64_t>{1, 2, 3, 4, 5}));
 }
 
 }  // namespace
