@@ -21,11 +21,8 @@
 //
 // Each size also measures multi-target throughput (targets/sec) through the
 // thread-pool driver: the serial (1-thread) driver vs GEATTACK_BENCH_ATTACK_
-// THREADS workers (default 4) vs the batched task type
-// (GEATTACK_BENCH_ATTACK_BATCH grouped targets per stacked task on
-// GEATTACK_BENCH_ATTACK_BATCH_THREADS workers, defaults 2/2 — see the
-// operating-point note in RunHarness), with a hard gate that both the
-// parallel and the batched edge picks are identical to the serial ones.
+// THREADS workers (default 4), with a hard gate that the parallel edge
+// picks are identical to the serial ones.
 //
 // Both modes end with a dense-vs-sparse equivalence gate at the smallest
 // size: FGA-T and GEAttack (mask_init_scale = 0) must each pick identical
@@ -163,12 +160,6 @@ struct MultiTargetRow {
   double serial_ms = 0.0;    // Driver, num_threads = 1.
   double threaded_ms = 0.0;  // Driver, num_threads = threads.
   bool identical = false;    // Parallel picks == serial picks (gate).
-  // Batched task type: num_threads = batched_threads, groups of
-  // batch_targets through the stacked-RHS path.
-  int batched_threads = 0;
-  int batch_targets = 0;
-  double batched_ms = 0.0;
-  bool batched_identical = false;  // Batched picks == serial picks (gate).
   // Per-target statuses of the serial reference run — a healthy bench run
   // has zero of either (gated).
   int64_t failed = 0;
@@ -894,21 +885,6 @@ int RunHarness(const std::string& json_path, bool quick) {
     const char* v = std::getenv("GEATTACK_BENCH_ATTACK_THREADS");
     return (v != nullptr && std::atoi(v) > 0) ? std::atoi(v) : 4;
   }();
-  // The batched row runs batch=2 on 2 workers in both modes: quick doubles
-  // as the CI equivalence gate (hard-fail on any non-identical pick), and
-  // on the single-core bench container pairs over a small pool is the
-  // batched operating point that stays ahead of the 4-worker unbatched
-  // pool (larger groups inflate the in-flight working set, which a single
-  // core pays for in cache misses; real multi-core machines can raise
-  // both knobs via the env overrides).
-  const int batch_targets = [] {
-    const char* v = std::getenv("GEATTACK_BENCH_ATTACK_BATCH");
-    return (v != nullptr && std::atoi(v) > 0) ? std::atoi(v) : 2;
-  }();
-  const int batched_threads = [] {
-    const char* v = std::getenv("GEATTACK_BENCH_ATTACK_BATCH_THREADS");
-    return (v != nullptr && std::atoi(v) > 0) ? std::atoi(v) : 2;
-  }();
 
   std::vector<Row> geattack_rows, fga_rows;
   std::vector<EquivalenceRow> equivalence;
@@ -987,7 +963,7 @@ int RunHarness(const std::string& json_path, bool quick) {
       mrow.threads = threads;
       // Best-of-2 timing per mode (results are deterministic, so reps are
       // identical) — single-shot multi-target walls on the shared bench
-      // host swing by ~10%, more than the batched-vs-threaded margins.
+      // host swing by ~10%.
       const int mt_reps = 2;
       auto timed = [&](const AttackDriverConfig& cfg,
                        std::vector<AttackResult>* out) {
@@ -1018,27 +994,10 @@ int RunHarness(const std::string& json_path, bool quick) {
         mrow.identical = SameEdges(serial[i], parallel[i]);
       gate_ok = gate_ok && mrow.identical;
 
-      // Batched task type: shared BatchedSubgraphView + stacked-RHS scoring
-      // per group, same per-target streams — picks must stay identical.
-      AttackDriverConfig batched_cfg = serial_cfg;
-      batched_cfg.num_threads = batched_threads;
-      batched_cfg.batch_targets = batch_targets;
-      mrow.batched_threads = batched_threads;
-      mrow.batch_targets = batch_targets;
-      std::vector<AttackResult> batched;
-      mrow.batched_ms = timed(batched_cfg, &batched);
-      mrow.batched_identical = serial.size() == batched.size();
-      for (size_t i = 0; mrow.batched_identical && i < serial.size(); ++i)
-        mrow.batched_identical = SameEdges(serial[i], batched[i]);
-      gate_ok = gate_ok && mrow.batched_identical;
-
       std::cerr << "[bench_attack] multi-target GEAttack x" << mrow.targets
                 << ": serial " << mrow.serial_ms << " ms, " << threads
-                << " threads " << mrow.threaded_ms << " ms, batched("
-                << batched_threads << "t x" << batch_targets << ") "
-                << mrow.batched_ms << " ms, identical="
-                << (mrow.identical ? "yes" : "NO") << "/"
-                << (mrow.batched_identical ? "yes" : "NO") << "\n";
+                << " threads " << mrow.threaded_ms << " ms, identical="
+                << (mrow.identical ? "yes" : "NO") << "\n";
       multi_rows.push_back(mrow);
     }
 
@@ -1193,30 +1152,6 @@ int RunHarness(const std::string& json_path, bool quick) {
         << ",\"failed\":" << m.failed << ",\"timed_out\":" << m.timed_out
         << ",\"identical\":" << (m.identical ? "true" : "false") << "}"
         << (i + 1 < multi_rows.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"multi_target_batched\": [\n";
-  for (size_t i = 0; i < multi_rows.size(); ++i) {
-    const MultiTargetRow& m = multi_rows[i];
-    const double t = static_cast<double>(m.targets);
-    const double serial_tps =
-        m.serial_ms > 0.0 ? 1000.0 * t / m.serial_ms : 0.0;
-    const double threaded_tps =
-        m.threaded_ms > 0.0 ? 1000.0 * t / m.threaded_ms : 0.0;
-    const double batched_tps =
-        m.batched_ms > 0.0 ? 1000.0 * t / m.batched_ms : 0.0;
-    out << "    {\"n\":" << m.n << ",\"targets\":" << m.targets
-        << ",\"threads\":" << m.batched_threads
-        << ",\"batch_targets\":" << m.batch_targets
-        << ",\"batched_ms\":" << m.batched_ms
-        << ",\"serial_targets_per_sec\":" << serial_tps
-        << ",\"threaded_targets_per_sec\":" << threaded_tps
-        << ",\"batched_targets_per_sec\":" << batched_tps
-        << ",\"speedup_vs_serial\":"
-        << (m.batched_ms > 0.0 ? m.serial_ms / m.batched_ms : 0.0)
-        << ",\"speedup_vs_threaded\":"
-        << (m.batched_ms > 0.0 ? m.threaded_ms / m.batched_ms : 0.0)
-        << ",\"identical\":" << (m.batched_identical ? "true" : "false")
-        << "}" << (i + 1 < multi_rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"fault_containment\": {\"n\":" << fault_row.n
       << ",\"targets\":" << fault_row.targets

@@ -33,17 +33,6 @@ const Tensor& CachedPenaltyBase(const AttackContext& ctx) {
   return s->b_base;
 }
 
-std::vector<AttackResult> TargetedAttack::AttackBatch(
-    const AttackContext& ctx, const std::vector<AttackRequest>& requests,
-    const std::vector<Rng*>& rngs) const {
-  GEA_CHECK(requests.size() == rngs.size());
-  std::vector<AttackResult> results;
-  results.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i)
-    results.push_back(Attack(ctx, requests[i], rngs[i]));
-  return results;
-}
-
 std::vector<int64_t> DirectAddCandidates(const Tensor& adjacency,
                                          int64_t target,
                                          const std::vector<int64_t>& labels,

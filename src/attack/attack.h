@@ -114,17 +114,6 @@ class TargetedAttack {
   /// (random baseline, mask init); deterministic given its state.
   virtual AttackResult Attack(const AttackContext& ctx,
                               const AttackRequest& request, Rng* rng) const = 0;
-
-  /// Attacks a GROUP of requests batched together by the multi-target
-  /// driver; `rngs[i]` is request i's independent stream.  The contract is
-  /// bit-identity: results must equal running Attack(ctx, requests[i],
-  /// rngs[i]) one by one.  The base implementation does exactly that (every
-  /// attacker is batchable by fallback); attackers with a stacked scoring
-  /// path (FGA and GEAttack) override it to share subgraph construction and
-  /// score all targets per wide forward while preserving the contract.
-  virtual std::vector<AttackResult> AttackBatch(
-      const AttackContext& ctx, const std::vector<AttackRequest>& requests,
-      const std::vector<Rng*>& rngs) const;
 };
 
 /// Candidate endpoints for a direct add-edge attack on `target`: nodes j

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "src/attack/journal.h"
-#include "src/graph/subgraph.h"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -166,36 +164,13 @@ std::vector<AttackResult> RunMultiTargetAttack(
     }
   }
 
-  // The task unit is a target *group* over the still-pending requests:
-  // singletons when batch_targets <= 1 (the PR-4 schedule), shared-neighbor
-  // groups otherwise.  Each member keeps the stream of its ORIGINAL request
-  // index, so grouping, thread count, and resume point are invisible in the
-  // results.
+  // One task per still-pending request.  Each keeps the stream of its
+  // ORIGINAL request index, so thread count and resume point are invisible
+  // in the results.
   std::vector<int64_t> pending;
   pending.reserve(requests.size());
   for (int64_t i = 0; i < num_requests; ++i)
     if (!done[ZU(i)]) pending.push_back(i);
-
-  std::vector<std::vector<int64_t>> groups;  // Of original request indices.
-  if (config.batch_targets <= 1) {
-    groups.reserve(pending.size());
-    for (int64_t i : pending) groups.push_back({i});
-  } else {
-    std::vector<int64_t> targets;
-    targets.reserve(pending.size());
-    for (int64_t i : pending) targets.push_back(requests[ZU(i)].target_node);
-    // GroupTargetsBySharedNeighbors returns groups of positions into
-    // `targets` — remap through `pending` back to request indices.  Any
-    // grouping yields bit-identical per-target results (the batched
-    // contract), so grouping only the pending set is resume-safe.
-    for (const std::vector<int64_t>& g : GroupTargetsBySharedNeighbors(
-             ctx.data->graph, targets, config.batch_targets)) {
-      std::vector<int64_t> group;
-      group.reserve(g.size());
-      for (int64_t local : g) group.push_back(pending[ZU(local)]);
-      groups.push_back(std::move(group));
-    }
-  }
 
   // Whole-run deadline, armed now; per-target tokens chain to it so an
   // expired run also cancels in-flight targets at their next poll.
@@ -231,103 +206,40 @@ std::vector<AttackResult> RunMultiTargetAttack(
     }
   };
 
-  auto run_group = [&](int64_t gi) {
-    const std::vector<int64_t>& group = groups[static_cast<size_t>(gi)];
-    auto skip = [&](int64_t i, const char* why) {
-      results[ZU(i)] = AttackResult();
-      results[ZU(i)].status = Status::Skipped(why);
-    };
-    // Members whose caller-provided token (e.g. the attack service's
-    // per-request absolute deadline) already expired are skipped HERE,
-    // before any Rng is constructed or any attack state is touched: the
-    // doomed request consumes nothing, so appending it to a run leaves
-    // every survivor's stream — hence picks — untouched.
-    auto pre_expired = [&](int64_t i) {
-      const CancellationToken* caller = requests[ZU(i)].cancel;
-      return caller != nullptr && caller->Expired();
-    };
-    std::vector<int64_t> live;
-    live.reserve(group.size());
+  auto run_task = [&](int64_t i) {
+    const CancellationToken* caller = requests[ZU(i)].cancel;
     if (run_token.Expired()) {
       // Task started after the run deadline: nothing was computed, so the
-      // targets are skipped (and deliberately NOT journaled — a resumed run
-      // with more time should attack them).
-      for (int64_t i : group)
-        skip(i, "run deadline exceeded before target started");
+      // target is skipped (and deliberately NOT journaled — a resumed run
+      // with more time should attack it).
+      results[ZU(i)].status =
+          Status::Skipped("run deadline exceeded before target started");
+    } else if (caller != nullptr && caller->Expired()) {
+      // The caller-provided token (e.g. the attack service's per-request
+      // absolute deadline) already expired: skip HERE, before any Rng is
+      // constructed or any attack state is touched, so the doomed request
+      // consumes nothing and appending it to a run leaves every survivor's
+      // stream — hence picks — untouched.
+      results[ZU(i)].status =
+          Status::Skipped("deadline expired before target started");
     } else {
-      for (int64_t i : group) {
-        if (pre_expired(i))
-          skip(i, "deadline expired before target started");
-        else
-          live.push_back(i);
-      }
-    }
-    if (live.size() == 1) {
-      const int64_t i = live[0];
-      CancellationToken token(&run_token, requests[ZU(i)].cancel);
+      CancellationToken token(&run_token, caller);
       token.SetDeadlineAfterMs(config.target_deadline_ms);
       run_isolated(i, &token);
-    } else if (live.size() > 1) {
-      CancellationToken token(&run_token);
-      token.SetDeadlineAfterMs(config.target_deadline_ms);
-      std::vector<AttackRequest> group_requests;
-      // Each member's effective token chains the group's shared deadline
-      // with the member's own caller token; unique_ptr keeps the addresses
-      // stable behind the request pointers.
-      std::vector<std::unique_ptr<CancellationToken>> member_tokens;
-      std::vector<Rng> rngs;
-      std::vector<Rng*> rng_ptrs;
-      group_requests.reserve(live.size());
-      member_tokens.reserve(live.size());
-      rngs.reserve(live.size());
-      for (int64_t i : live) {
-        member_tokens.push_back(std::make_unique<CancellationToken>(
-            &token, requests[ZU(i)].cancel));
-        group_requests.push_back(requests[static_cast<size_t>(i)]);
-        group_requests.back().cancel = member_tokens.back().get();
-        rngs.emplace_back(seed_of(i));
-      }
-      for (Rng& r : rngs) rng_ptrs.push_back(&r);
-      bool batch_faulted = false;
-      try {
-        std::vector<AttackResult> group_results =
-            attack.AttackBatch(ctx, group_requests, rng_ptrs);
-        GEA_CHECK(group_results.size() == live.size());
-        for (size_t g = 0; g < live.size(); ++g)
-          results[static_cast<size_t>(live[g])] = std::move(group_results[g]);
-      } catch (...) {
-        batch_faulted = true;
-      }
-      if (batch_faulted) {
-        // A fault in the group's shared stacked pass poisons every member's
-        // in-flight state, so re-run each member individually with a fresh
-        // per-request stream and a fresh deadline.  The fault lands only on
-        // the faulty member; survivors recompute their serial-reference
-        // picks, which the batched==serial contract guarantees are the
-        // picks the batch would have produced.
-        for (int64_t i : live) {
-          CancellationToken member_token(&run_token, requests[ZU(i)].cancel);
-          member_token.SetDeadlineAfterMs(config.target_deadline_ms);
-          run_isolated(i, &member_token);
-        }
-      }
     }
-    if (journal.is_open()) {
+    if (journal.is_open() &&
+        results[ZU(i)].status.code() != StatusCode::kSkipped) {
       std::lock_guard<std::mutex> lock(journal_mutex);
-      for (int64_t i : group) {
-        if (results[ZU(i)].status.code() == StatusCode::kSkipped) continue;
-        const Status appended = journal.Append(i, results[ZU(i)]);
-        GEA_CHECK(appended.ok());
-      }
+      const Status appended = journal.Append(i, results[ZU(i)]);
+      GEA_CHECK(appended.ok());
     }
   };
 
+  const int64_t num_tasks = static_cast<int64_t>(pending.size());
   const int threads = static_cast<int>(
-      std::min<int64_t>(std::max(config.num_threads, 1),
-                        static_cast<int64_t>(groups.size())));
+      std::min<int64_t>(std::max(config.num_threads, 1), num_tasks));
   if (threads <= 1) {
-    for (int64_t gi = 0; gi < static_cast<int64_t>(groups.size()); ++gi)
-      run_group(gi);
+    for (int64_t i : pending) run_task(i);
     return results;
   }
 
@@ -341,11 +253,10 @@ std::vector<AttackResult> RunMultiTargetAttack(
   const int omp_budget = std::max(1, omp_get_max_threads() / threads);
 #endif
   // One shared queue in caller order: each idle worker takes the next
-  // group, so a caller that lists its costliest targets first gets list
+  // target, so a caller that lists its costliest targets first gets list
   // scheduling.  Seeds are bound to request indices, so the schedule never
   // changes a result.
-  const int64_t num_groups = static_cast<int64_t>(groups.size());
-  std::atomic<int64_t> next_group{0};
+  std::atomic<int64_t> next_task{0};
   std::vector<std::thread> workers;
   workers.reserve(static_cast<size_t>(threads));
   for (int w = 0; w < threads; ++w) {
@@ -353,8 +264,8 @@ std::vector<AttackResult> RunMultiTargetAttack(
 #ifdef _OPENMP
       omp_set_num_threads(omp_budget);
 #endif
-      for (int64_t gi = next_group++; gi < num_groups; gi = next_group++)
-        run_group(gi);
+      for (int64_t t = next_task++; t < num_tasks; t = next_task++)
+        run_task(pending[ZU(t)]);
     });
   }
   for (std::thread& t : workers) t.join();

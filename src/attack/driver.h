@@ -5,7 +5,8 @@
 // (trained model, clean CSR, folded X·W₁) is read-only, and all mutable
 // state (SubgraphView, SparseAttackForward, autodiff graphs) is built per
 // target.  That makes the per-target loop embarrassingly parallel — this
-// module runs it on a thread pool fed from one shared queue in caller order.
+// module runs it as one task per target on a thread pool fed from one
+// shared queue in caller order.
 //
 // Determinism contract: results are *bit-identical* to running the targets
 // one by one in a single thread, regardless of thread count or scheduling.
@@ -56,16 +57,6 @@ struct AttackDriverConfig {
   int num_threads = 1;
   /// Base seed of the per-target streams.
   uint64_t base_seed = 0;
-  /// Target-group size of the batched task type.  1 (default) schedules one
-  /// task per target, exactly the PR-4 driver.  > 1 groups up to this many
-  /// targets by shared-neighbor count (GroupTargetsBySharedNeighbors) and
-  /// schedules each group as ONE task run through
-  /// TargetedAttack::AttackBatch — shared subgraph construction and
-  /// stacked-RHS scoring for attackers that support it, the per-target
-  /// fallback loop for the rest.  Every target still draws from its own
-  /// TargetSeed(base_seed, request_index) stream, so results are
-  /// bit-identical to batch_targets = 1 at any thread count and grouping.
-  int batch_targets = 1;
   /// Whole-run wall-clock deadline in milliseconds, armed when the run
   /// starts (<= 0 = none).  Targets whose task starts after it passed are
   /// marked kSkipped without running; targets caught mid-loop return their
@@ -75,8 +66,6 @@ struct AttackDriverConfig {
   /// STARTS (queue wait does not count), <= 0 = none.  Polled
   /// cooperatively at greedy-round / inner-mask-step granularity; an
   /// expired target returns the picks committed so far with kTimedOut.
-  /// With batch_targets > 1 the group shares one token, so the deadline
-  /// bounds the group's lockstep loop.
   double target_deadline_ms = 0.0;
   /// When non-empty (must then match requests.size()), request i draws
   /// from Rng(request_seeds[i]) instead of Rng(TargetSeed(base_seed, i)).
@@ -99,12 +88,12 @@ struct AttackDriverConfig {
 
 /// Runs `attack` on every request against the shared read-only `ctx` and
 /// returns results in request order.  Bit-identical output for any
-/// `num_threads` and any `batch_targets`.  Workers take whole tasks
-/// (targets, or target groups) from one shared queue in caller order: each
-/// idle worker takes the next task.  List the costliest targets first (e.g.
-/// a hub node with a huge candidate set, or the largest budget) so that no
-/// slow task starts last and serializes the tail.  The schedule never
-/// affects seeds: request i always draws from its own stream.
+/// `num_threads`.  Each target is one task, and workers take tasks from
+/// one shared queue in caller order: each idle worker takes the next
+/// target.  List the costliest targets first (e.g. a hub node with a huge
+/// candidate set, or the largest budget) so that no slow task starts last
+/// and serializes the tail.  The schedule never affects seeds: request i
+/// always draws from its own stream.
 ///
 /// Fault containment: requests with an out-of-range target_node /
 /// target_label or a negative budget come back as kInvalidArgument without
@@ -112,15 +101,11 @@ struct AttackDriverConfig {
 /// under the per-target token) is already expired when their task starts
 /// come back as kSkipped *before* any rng stream is consumed — a doomed
 /// request never perturbs a survivor and never burns compute; a per-task
-/// exception or non-finite score blowup yields a
-/// kError result for that target only.  In both cases every other target's
-/// picks are bit-identical to a run without the bad target — per-target
-/// RNG streams mean a failed target cannot perturb a survivor.  When a
-/// fault hits a batched group's shared stacked pass, the group re-runs
-/// member-by-member (fresh TargetSeed streams, fresh per-target deadlines)
-/// so the fault lands only on the faulty member and survivors keep the
-/// serial-reference picks, which the batched path's contract guarantees
-/// are the batched picks too.
+/// exception or non-finite score blowup yields a kError result for that
+/// target only.  In both cases every other target's picks are
+/// bit-identical to a run without the bad target — per-target RNG streams
+/// mean a failed target cannot perturb a survivor.  Skipped targets are
+/// never journaled, so a resumed run attacks them.
 std::vector<AttackResult> RunMultiTargetAttack(
     const AttackContext& ctx, const TargetedAttack& attack,
     const std::vector<AttackRequest>& requests,

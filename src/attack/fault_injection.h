@@ -12,11 +12,7 @@
 //     target for deadline tests.
 //
 // Faults are keyed by target node, so they are deterministic across thread
-// counts and batch groupings.  AttackBatch is deliberately NOT overridden:
-// the base per-member fallback runs each member through Attack, which makes
-// a fault inside a batched group surface as an exception from the group's
-// shared pass — exactly the case the driver's member-by-member re-run
-// isolates.
+// counts and schedules.
 
 #ifndef GEATTACK_SRC_ATTACK_FAULT_INJECTION_H_
 #define GEATTACK_SRC_ATTACK_FAULT_INJECTION_H_

@@ -84,151 +84,6 @@ AttackResult FgaAttack::AttackDense(const AttackContext& ctx,
   return result;
 }
 
-std::vector<AttackResult> FgaAttack::AttackBatch(
-    const AttackContext& ctx, const std::vector<AttackRequest>& requests,
-    const std::vector<Rng*>& rngs) const {
-  const int64_t k = static_cast<int64_t>(requests.size());
-  if (!use_sparse_ || k <= 1)
-    return TargetedAttack::AttackBatch(ctx, requests, rngs);
-  GEA_CHECK(requests.size() == rngs.size());
-  const CsrPattern& clean = *ctx.clean_csr.pattern();
-
-  std::vector<int64_t> targets;
-  std::vector<std::vector<int64_t>> candidates;
-  for (const AttackRequest& req : requests) {
-    GEA_CHECK(targeted_ ? req.target_label >= 0 : true);
-    targets.push_back(req.target_node);
-    candidates.push_back(
-        DirectAddCandidates(clean, req.target_node, ctx.data->labels,
-                            /*label*/ -1));
-  }
-  const BatchedSubgraphView bview =
-      BuildBatchedSubgraphView(clean, targets, /*hops=*/-1, candidates);
-  StackedAttackForward ssf =
-      MakeStackedAttackForward(bview, *ctx.model, CachedXw1(ctx));
-
-  std::vector<AttackResult> results(static_cast<size_t>(k));
-  // Per-target perturbed graphs, kept only by the modes that read them.
-  std::vector<Graph> current;
-  if (ReadsPerturbedGraph())
-    current.assign(static_cast<size_t>(k), ctx.data->graph);
-  std::vector<std::vector<char>> active(static_cast<size_t>(k));
-  std::vector<char> done(static_cast<size_t>(k), 0);
-  int64_t max_budget = 0;
-  for (int64_t t = 0; t < k; ++t) {
-    const int64_t m = ssf.per_target[static_cast<size_t>(t)]
-                          .view->num_candidates();
-    active[static_cast<size_t>(t)].assign(static_cast<size_t>(m), 1);
-    if (m == 0) done[static_cast<size_t>(t)] = 1;
-    max_budget = std::max(max_budget, requests[static_cast<size_t>(t)].budget);
-  }
-
-  for (int64_t step = 0; step < max_budget; ++step) {
-    // The greedy rounds run in lockstep: target t is live while it still
-    // has budget and candidates, and its committed state after `step` picks
-    // matches the per-target loop's exactly.
-    std::vector<int64_t> live;
-    std::vector<char> is_live(static_cast<size_t>(k), 0);
-    for (int64_t t = 0; t < k; ++t) {
-      if (done[static_cast<size_t>(t)] ||
-          step >= requests[static_cast<size_t>(t)].budget)
-        continue;
-      if (Cancelled(requests[static_cast<size_t>(t)])) {
-        done[static_cast<size_t>(t)] = 1;
-        results[static_cast<size_t>(t)].status =
-            Status::TimedOut("deadline exceeded");
-        continue;
-      }
-      live.push_back(t);
-      is_live[static_cast<size_t>(t)] = 1;
-    }
-    if (live.empty()) break;
-
-    std::vector<int64_t> labels(static_cast<size_t>(k), -1);
-    for (int64_t t : live) {
-      labels[static_cast<size_t>(t)] =
-          targeted_ ? requests[static_cast<size_t>(t)].target_label
-                    : ctx.model
-                          ->LogitsFromGraph(current[static_cast<size_t>(t)],
-                                            ctx.data->features)
-                          .ArgMaxRow(requests[static_cast<size_t>(t)]
-                                         .target_node);
-    }
-
-    // One stacked forward for every live target; finished targets ride
-    // along as constant committed columns (no gradient work).
-    std::vector<Var> ws(static_cast<size_t>(k));
-    for (int64_t t = 0; t < k; ++t) {
-      SparseAttackForward& pt = ssf.per_target[static_cast<size_t>(t)];
-      ws[static_cast<size_t>(t)] =
-          is_live[static_cast<size_t>(t)]
-              ? Var::Leaf(Tensor::Zeros(pt.view->num_candidates(), 1),
-                          /*requires_grad=*/true, "w")
-              : Constant(Tensor::Zeros(pt.view->num_candidates(), 1), "w0");
-    }
-    Var stacked =
-        StackedGcnLogitsVarFromValues(ssf, StackedRawValues(ssf, ws));
-    Var total;
-    std::vector<Var> live_ws;
-    for (int64_t t : live) {
-      Var loss = NllRow(
-          StackedLogitsBlock(ssf, stacked, t),
-          ssf.per_target[static_cast<size_t>(t)].view->target_local,
-          labels[static_cast<size_t>(t)]);
-      if (!targeted_) loss = Neg(loss);
-      total = total.defined() ? Add(total, loss) : loss;
-      live_ws.push_back(ws[static_cast<size_t>(t)]);
-    }
-    const std::vector<Var> grads = Grad(total, live_ws);
-
-    for (size_t li = 0; li < live.size(); ++li) {
-      const int64_t t = live[li];
-      SparseAttackForward& pt = ssf.per_target[static_cast<size_t>(t)];
-      const AttackRequest& req = requests[static_cast<size_t>(t)];
-      const Tensor& g = grads[li].value();
-
-      std::unordered_set<int64_t> excluded;
-      if (!current.empty()) {
-        for (int64_t j :
-             ExcludedNodes(ctx, current[static_cast<size_t>(t)], req))
-          excluded.insert(j);
-      }
-
-      int64_t pick = -1;
-      double best = std::numeric_limits<double>::infinity();
-      const int64_t m = pt.view->num_candidates();
-      for (int64_t c = 0; c < m; ++c) {
-        if (!active[static_cast<size_t>(t)][static_cast<size_t>(c)]) continue;
-        if (excluded.count(
-                pt.view->candidates_global[static_cast<size_t>(c)]))
-          continue;
-        const double score =
-            CheckFiniteScore(g.at(c, 0), "gradient score");
-        if (score < best) {
-          best = score;
-          pick = c;
-        }
-      }
-      if (pick < 0) {
-        done[static_cast<size_t>(t)] = 1;
-        continue;
-      }
-      const int64_t j =
-          pt.view->candidates_global[static_cast<size_t>(pick)];
-      CommitCandidate(&pt, pick);
-      active[static_cast<size_t>(t)][static_cast<size_t>(pick)] = 0;
-      if (!current.empty())
-        current[static_cast<size_t>(t)].AddEdge(req.target_node, j);
-      results[static_cast<size_t>(t)].added_edges.emplace_back(
-          req.target_node, j);
-    }
-  }
-
-  for (AttackResult& r : results)
-    r.adjacency = DensePerturbedAdjacency(ctx, r.added_edges);
-  return results;
-}
-
 AttackResult FgaAttack::AttackSparse(const AttackContext& ctx,
                                      const AttackRequest& request) const {
   AttackResult result;

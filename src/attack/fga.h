@@ -37,16 +37,6 @@ class FgaAttack : public TargetedAttack {
   AttackResult Attack(const AttackContext& ctx, const AttackRequest& request,
                       Rng* rng) const override;
 
-  /// Batched sparse path: one BatchedSubgraphView shared by the group, one
-  /// stacked wide forward per greedy round scoring every live target, one
-  /// backward for all candidate gradients.  Bit-identical picks to the
-  /// per-target loop (falls back to it on the dense path).  The virtual
-  /// ExcludedNodes hook runs per target inside each round, so FGA-T&E rides
-  /// the batched path too.
-  std::vector<AttackResult> AttackBatch(
-      const AttackContext& ctx, const std::vector<AttackRequest>& requests,
-      const std::vector<Rng*>& rngs) const override;
-
  protected:
   /// Hook for FGA-T&E: returns candidate endpoints to exclude given the
   /// current (possibly already perturbed) graph.  Base implementation

@@ -1,6 +1,5 @@
 #include "src/core/geattack.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -80,187 +79,6 @@ AttackResult GeAttack::AttackDense(const AttackContext& ctx,
   if (timed_out || Cancelled(request))
     result.status = Status::TimedOut("deadline exceeded");
   return result;
-}
-
-std::vector<AttackResult> GeAttack::AttackBatch(
-    const AttackContext& ctx, const std::vector<AttackRequest>& requests,
-    const std::vector<Rng*>& rngs) const {
-  const int64_t k = static_cast<int64_t>(requests.size());
-  if (!config_.use_sparse || k <= 1)
-    return TargetedAttack::AttackBatch(ctx, requests, rngs);
-  GEA_CHECK(requests.size() == rngs.size());
-  const CsrPattern& clean = *ctx.clean_csr.pattern();
-
-  std::vector<int64_t> targets;
-  std::vector<std::vector<int64_t>> candidates;
-  for (const AttackRequest& req : requests) {
-    GEA_CHECK(req.target_label >= 0);
-    targets.push_back(req.target_node);
-    candidates.push_back(
-        DirectAddCandidates(clean, req.target_node, ctx.data->labels,
-                            /*label*/ -1));
-  }
-  const BatchedSubgraphView bview =
-      BuildBatchedSubgraphView(clean, targets, config_.hops, candidates);
-  StackedAttackForward ssf =
-      MakeStackedAttackForward(bview, *ctx.model, CachedXw1(ctx));
-
-  // Per-target state, each drawn from ITS OWN stream exactly as the serial
-  // per-target loop draws it — the determinism anchor of the batched path.
-  std::vector<AttackResult> results(static_cast<size_t>(k));
-  std::vector<Tensor> mask_init(static_cast<size_t>(k));
-  std::vector<Tensor> b_vec(static_cast<size_t>(k));
-  std::vector<std::vector<char>> active(static_cast<size_t>(k));
-  std::vector<char> done(static_cast<size_t>(k), 0);
-  int64_t max_budget = 0;
-  for (int64_t t = 0; t < k; ++t) {
-    const SubgraphView& view = *ssf.per_target[static_cast<size_t>(t)].view;
-    const int64_t m = view.num_candidates();
-    mask_init[static_cast<size_t>(t)] =
-        config_.mask_init_scale > 0.0
-            ? rngs[static_cast<size_t>(t)]->NormalTensor(
-                  view.num_slots(), 1, 0.0,
-                  config_.mask_init_scale / std::sqrt(2.0))
-            : Tensor::Zeros(view.num_slots(), 1);
-    b_vec[static_cast<size_t>(t)] = Tensor::Ones(m, 1);
-    active[static_cast<size_t>(t)].assign(static_cast<size_t>(m), 1);
-    if (m == 0) done[static_cast<size_t>(t)] = 1;
-    max_budget = std::max(max_budget, requests[static_cast<size_t>(t)].budget);
-  }
-
-  for (int64_t outer = 0; outer < max_budget; ++outer) {
-    std::vector<int64_t> live;
-    std::vector<char> is_live(static_cast<size_t>(k), 0);
-    for (int64_t t = 0; t < k; ++t) {
-      if (done[static_cast<size_t>(t)] ||
-          outer >= requests[static_cast<size_t>(t)].budget)
-        continue;
-      if (Cancelled(requests[static_cast<size_t>(t)])) {
-        done[static_cast<size_t>(t)] = 1;
-        results[static_cast<size_t>(t)].status =
-            Status::TimedOut("deadline exceeded");
-        continue;
-      }
-      live.push_back(t);
-      is_live[static_cast<size_t>(t)] = 1;
-    }
-    if (live.empty()) break;
-
-    std::vector<Var> ws(static_cast<size_t>(k));
-    std::vector<Var> mus(static_cast<size_t>(k));
-    std::vector<Var> live_ws, live_mus;
-    for (int64_t t : live) {
-      const SparseAttackForward& pt =
-          ssf.per_target[static_cast<size_t>(t)];
-      ws[static_cast<size_t>(t)] =
-          Var::Leaf(Tensor::Zeros(pt.view->num_candidates(), 1),
-                    /*requires_grad=*/true, "w");
-      mus[static_cast<size_t>(t)] =
-          Var::Leaf(mask_init[static_cast<size_t>(t)],
-                    /*requires_grad=*/true, "M0");
-      live_ws.push_back(ws[static_cast<size_t>(t)]);
-      live_mus.push_back(mus[static_cast<size_t>(t)]);
-    }
-
-    // ----- Inner loop: stacked differentiable explainer mimicry.  Every
-    // live target's masked forward shares one wide pass; one create_graph
-    // backward yields all T-step updates. -----
-    for (int64_t step = 0; step < config_.inner_steps; ++step) {
-      std::vector<Var> columns(static_cast<size_t>(k));
-      for (int64_t t = 0; t < k; ++t) {
-        const SparseAttackForward& pt =
-            ssf.per_target[static_cast<size_t>(t)];
-        if (is_live[static_cast<size_t>(t)]) {
-          Var a_und =
-              UndirectedValuesFromCandidates(pt, ws[static_cast<size_t>(t)]);
-          Var masked = Mul(a_und, Sigmoid(mus[static_cast<size_t>(t)]));
-          columns[static_cast<size_t>(t)] = DirectedFromUndirected(pt, masked);
-        } else {
-          columns[static_cast<size_t>(t)] =
-              Constant(pt.base_values, "base_values");
-        }
-      }
-      Var stacked = StackedGcnLogitsVar(ssf, columns);
-      Var inner_total;
-      for (int64_t t : live) {
-        Var loss = NllRow(
-            StackedLogitsBlock(ssf, stacked, t),
-            ssf.per_target[static_cast<size_t>(t)].view->target_local,
-            requests[static_cast<size_t>(t)].target_label);
-        inner_total = inner_total.defined() ? Add(inner_total, loss) : loss;
-      }
-      const std::vector<Var> ps =
-          Grad(inner_total, live_mus, {.create_graph = true});
-      for (size_t li = 0; li < live.size(); ++li) {
-        // η/2 as in the per-target loop (one undirected slot aggregates two
-        // mirrored dense entries).
-        mus[static_cast<size_t>(live[li])] =
-            Sub(mus[static_cast<size_t>(live[li])],
-                MulScalar(ps[li], 0.5 * config_.eta));
-        live_mus[li] = mus[static_cast<size_t>(live[li])];
-      }
-    }
-
-    // ----- Outer objective and hypergradient, stacked. -----
-    std::vector<Var> all_ws(static_cast<size_t>(k));
-    for (int64_t t = 0; t < k; ++t) {
-      const SparseAttackForward& pt = ssf.per_target[static_cast<size_t>(t)];
-      all_ws[static_cast<size_t>(t)] =
-          is_live[static_cast<size_t>(t)]
-              ? ws[static_cast<size_t>(t)]
-              : Constant(Tensor::Zeros(pt.view->num_candidates(), 1), "w0");
-    }
-    Var stacked =
-        StackedGcnLogitsVarFromValues(ssf, StackedRawValues(ssf, all_ws));
-    Var total;
-    for (int64_t t : live) {
-      const SparseAttackForward& pt = ssf.per_target[static_cast<size_t>(t)];
-      Var attack_loss = NllRow(StackedLogitsBlock(ssf, stacked, t),
-                               pt.view->target_local,
-                               requests[static_cast<size_t>(t)].target_label);
-      Var mu_cand =
-          SpMM(pt.view->cand_slot_take, mus[static_cast<size_t>(t)]);
-      Var penalty = Sum(Mul(
-          mu_cand, Constant(b_vec[static_cast<size_t>(t)], "B_cand")));
-      Var obj = Add(attack_loss, MulScalar(penalty, config_.lambda));
-      total = total.defined() ? Add(total, obj) : obj;
-    }
-    const std::vector<Var> qs = Grad(total, live_ws);
-
-    for (size_t li = 0; li < live.size(); ++li) {
-      const int64_t t = live[li];
-      SparseAttackForward& pt = ssf.per_target[static_cast<size_t>(t)];
-      const Tensor& q = qs[li].value();
-      int64_t pick = -1;
-      double best = std::numeric_limits<double>::infinity();
-      const int64_t m = pt.view->num_candidates();
-      for (int64_t c = 0; c < m; ++c) {
-        if (!active[static_cast<size_t>(t)][static_cast<size_t>(c)]) continue;
-        const double score =
-            CheckFiniteScore(q.at(c, 0), "hypergradient score");
-        if (score < best) {
-          best = score;
-          pick = c;
-        }
-      }
-      if (pick < 0) {
-        done[static_cast<size_t>(t)] = 1;
-        continue;
-      }
-      const int64_t j =
-          pt.view->candidates_global[static_cast<size_t>(pick)];
-      CommitCandidate(&pt, pick);
-      active[static_cast<size_t>(t)][static_cast<size_t>(pick)] = 0;
-      results[static_cast<size_t>(t)].added_edges.emplace_back(
-          requests[static_cast<size_t>(t)].target_node, j);
-      if (!config_.keep_penalty_on_added)
-        b_vec[static_cast<size_t>(t)].at(pick, 0) = 0.0;
-    }
-  }
-
-  for (AttackResult& r : results)
-    r.adjacency = DensePerturbedAdjacency(ctx, r.added_edges);
-  return results;
 }
 
 AttackResult GeAttack::AttackSparse(const AttackContext& ctx,

@@ -41,13 +41,13 @@ struct GeAttackConfig {
   /// explainer mask, and the penalty all live on the target's SubgraphView
   /// edge list, so one outer iteration (T inner steps + the hypergradient)
   /// costs O(T·(|E_sub| + m)·h) instead of O(T·n²·h) — the only path that
-  /// runs at multi-10k nodes, and the one the batched multi-target driver
-  /// stacks.  With mask_init_scale = 0 the two paths pick identical edges;
-  /// with a random init the sparse path draws one normal per edge slot
-  /// instead of n², so a fixed seed lands on a different (equally valid)
-  /// M⁰ — the fixed-seed integration pins are anchored on the driver's
-  /// per-target TargetSeed streams, which make that choice per-target
-  /// stable.  Set false for the historical dense n x n relaxation.
+  /// runs at multi-10k nodes.  With mask_init_scale = 0 the two paths pick
+  /// identical edges; with a random init the sparse path draws one normal
+  /// per edge slot instead of n², so a fixed seed lands on a different
+  /// (equally valid) M⁰ — the fixed-seed integration pins are anchored on
+  /// the driver's per-target TargetSeed streams, which make that choice
+  /// per-target stable.  Set false for the historical dense n x n
+  /// relaxation.
   bool use_sparse = true;
   /// Sparse view radius: -1 keeps every node (numerically exact); k >= 2
   /// restricts the view to the k-hop ball around the target in the
@@ -65,18 +65,6 @@ class GeAttack : public TargetedAttack {
 
   AttackResult Attack(const AttackContext& ctx, const AttackRequest& request,
                       Rng* rng) const override;
-
-  /// Batched sparse path: the group shares one BatchedSubgraphView and the
-  /// whole bilevel loop — T differentiable inner mask steps under
-  /// create_graph plus the outer hypergradient — runs through stacked wide
-  /// forwards scoring every live target at once.  Each target keeps its own
-  /// mask variable, penalty vector, and rng stream (M⁰ drawn from
-  /// rngs[t] exactly as the per-target loop draws it), so picks are
-  /// bit-identical to running the targets one by one.  Falls back to the
-  /// serial loop on the dense path.
-  std::vector<AttackResult> AttackBatch(
-      const AttackContext& ctx, const std::vector<AttackRequest>& requests,
-      const std::vector<Rng*>& rngs) const override;
 
   const GeAttackConfig& config() const { return config_; }
 

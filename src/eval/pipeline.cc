@@ -214,7 +214,6 @@ JointAttackOutcome EvaluateAttack(const AttackContext& ctx,
       requests.push_back({t.node, t.target_label, t.budget});
     AttackDriverConfig driver_config;
     driver_config.num_threads = eval_config.attack_threads;
-    driver_config.batch_targets = eval_config.batch_targets;
     driver_config.base_seed = rng->engine()();
     driver_config.target_deadline_ms = eval_config.target_deadline_ms;
     driver_config.run_deadline_ms = eval_config.run_deadline_ms;

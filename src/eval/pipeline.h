@@ -122,12 +122,6 @@ struct EvalConfig {
   /// seeded off `rng` — bit-identical results for any thread count, so 1
   /// is the serial reference and N is the same answer, faster.
   int attack_threads = 0;
-  /// Target-group size for the driver's batched task type (used when
-  /// attack_threads >= 1): groups of up to this many targets share one
-  /// subgraph view and are scored through stacked wide forwards by
-  /// attackers that support it.  1 = per-target tasks.  Results are
-  /// bit-identical for any value (see AttackDriverConfig::batch_targets).
-  int batch_targets = 1;
   /// Per-target attack deadline in milliseconds (<= 0 = none), honored on
   /// both the serial loop and the driver (AttackDriverConfig::
   /// target_deadline_ms).  An expired target keeps its partial picks and is
@@ -194,7 +188,7 @@ JointAttackOutcome EvaluateAttackOnService(
 
 /// Builds an AttackContext view over `data` and `model`: dense + CSR clean
 /// adjacencies plus the shared normalized clean CSR and degree cache that
-/// batched multi-target evaluation reuses across targets.
+/// every target of a multi-target evaluation reads.
 AttackContext MakeAttackContext(const GraphData& data, const Gcn& model);
 
 /// Sparse-only twin for graphs too large to densify: clean_adjacency stays

@@ -341,317 +341,10 @@ SubgraphView BuildSubgraphView(
   return BuildView(CsrRows(adjacency), target, hops, candidates_global);
 }
 
-namespace {
-
-/// Binary search for the canonical pair (min(u,v), max(u,v)) in a
-/// lexicographically sorted pair list; -1 when absent.
-int64_t FindPair(const std::vector<IndexPair>& pairs, int64_t u, int64_t v) {
-  const IndexPair key{std::min(u, v), std::max(u, v)};
-  const auto it = std::lower_bound(
-      pairs.begin(), pairs.end(), key, [](const IndexPair& a,
-                                          const IndexPair& b) {
-        return a.u != b.u ? a.u < b.u : a.v < b.v;
-      });
-  if (it != pairs.end() && it->u == key.u && it->v == key.v)
-    return static_cast<int64_t>(it - pairs.begin());
-  return -1;
-}
-
-}  // namespace
-
 std::vector<char> AugmentedBallFlags(
     const Graph& graph, int64_t target, int hops,
     const std::vector<int64_t>& candidates_global) {
   return BallFlags(GraphRows(graph), target, hops, candidates_global);
-}
-
-BatchedSubgraphView BuildBatchedSubgraphView(
-    const CsrPattern& adjacency, const std::vector<int64_t>& targets, int hops,
-    const std::vector<std::vector<int64_t>>& candidates_global) {
-  const CsrRows clean(adjacency);
-  const int64_t n = clean.num_nodes();
-  const int64_t k = static_cast<int64_t>(targets.size());
-  GEA_CHECK(k >= 1);
-  GEA_CHECK(candidates_global.size() == targets.size());
-  for (int64_t t = 0; t < k; ++t) {
-    const int64_t v = targets[ZU(t)];
-    GEA_CHECK(v >= 0 && v < n);
-    const std::span<const int64_t> row = clean.Row(v);
-    for (int64_t c : candidates_global[ZU(t)]) {
-      GEA_CHECK(c >= 0 && c < n && c != v);
-      GEA_CHECK(!std::binary_search(row.begin(), row.end(), c));
-    }
-  }
-
-  BatchedSubgraphView bv;
-  bv.targets_global = targets;
-  bv.global_to_local.assign(ZU(n), -1);
-
-  // ----- Per-target balls and their union. -----
-  std::vector<std::vector<char>> ball(ZU(k));
-  for (int64_t t = 0; t < k; ++t)
-    ball[ZU(t)] =
-        BallFlags(clean, targets[ZU(t)], hops, candidates_global[ZU(t)]);
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t t = 0; t < k; ++t) {
-      if (ball[ZU(t)][ZU(i)]) {
-        bv.nodes.push_back(i);
-        break;
-      }
-    }
-  }
-  for (size_t l = 0; l < bv.nodes.size(); ++l)
-    bv.global_to_local[ZU(bv.nodes[l])] =
-        static_cast<int64_t>(l);
-  const int64_t ns = bv.num_nodes();
-
-  // ----- Union induced clean edges, canonical (u < v) local order. -----
-  std::vector<IndexPair> union_edges;
-  for (int64_t l = 0; l < ns; ++l) {
-    const int64_t g = bv.nodes[ZU(l)];
-    for (int64_t w : clean.Row(g)) {
-      const int64_t lw = bv.global_to_local[ZU(w)];
-      if (lw >= 0 && l < lw) union_edges.push_back({l, lw});
-    }
-  }
-  const int64_t num_union_edges = static_cast<int64_t>(union_edges.size());
-
-  // ----- Candidate pairs across every target, deduplicated (two targets
-  // proposing the same edge share one slot; their value columns stay
-  // independent). -----
-  std::vector<IndexPair> cand_pairs;
-  for (int64_t t = 0; t < k; ++t) {
-    const int64_t tl = bv.global_to_local[ZU(
-        targets[ZU(t)])];
-    for (int64_t c : candidates_global[ZU(t)]) {
-      const int64_t lc = bv.global_to_local[ZU(c)];
-      GEA_CHECK(tl >= 0 && lc >= 0);  // In the ball by construction.
-      cand_pairs.push_back({std::min(tl, lc), std::max(tl, lc)});
-    }
-  }
-  std::sort(cand_pairs.begin(), cand_pairs.end(),
-            [](const IndexPair& a, const IndexPair& b) {
-              return a.u != b.u ? a.u < b.u : a.v < b.v;
-            });
-  cand_pairs.erase(std::unique(cand_pairs.begin(), cand_pairs.end(),
-                               [](const IndexPair& a, const IndexPair& b) {
-                                 return a.u == b.u && a.v == b.v;
-                               }),
-                   cand_pairs.end());
-
-  // ----- Shared augmented pattern: diag + clean + candidate slots. -----
-  std::vector<std::vector<int64_t>> rows(ZU(ns));
-  for (int64_t l = 0; l < ns; ++l) rows[ZU(l)].push_back(l);
-  for (const IndexPair& e : union_edges) {
-    rows[ZU(e.u)].push_back(e.v);
-    rows[ZU(e.v)].push_back(e.u);
-  }
-  for (const IndexPair& e : cand_pairs) {
-    rows[ZU(e.u)].push_back(e.v);
-    rows[ZU(e.v)].push_back(e.u);
-  }
-  auto pattern = std::make_shared<CsrPattern>();
-  pattern->rows = pattern->cols = ns;
-  pattern->row_ptr.reserve(ZU(ns) + 1);
-  pattern->row_ptr.push_back(0);
-  for (int64_t l = 0; l < ns; ++l) {
-    auto& row = rows[ZU(l)];
-    std::sort(row.begin(), row.end());
-    pattern->col_idx.insert(pattern->col_idx.end(), row.begin(), row.end());
-    pattern->row_ptr.push_back(static_cast<int64_t>(pattern->col_idx.size()));
-  }
-  const int64_t nnz = pattern->nnz();
-
-  // ----- Classify every nnz position: diag / clean edge / candidate. -----
-  bv.diag_nnz.assign(ZU(ns), -1);
-  std::vector<std::pair<int64_t, int64_t>> edge_nnz(
-      ZU(num_union_edges), {-1, -1});
-  std::vector<std::pair<int64_t, int64_t>> cand_nnz(cand_pairs.size(),
-                                                    {-1, -1});
-  std::vector<int64_t> edge_of_nnz(ZU(nnz), -1);
-  std::vector<int64_t> cand_pair_of_nnz(ZU(nnz), -1);
-  for (int64_t i = 0; i < ns; ++i) {
-    for (int64_t e = pattern->row_ptr[ZU(i)];
-         e < pattern->row_ptr[ZU(i + 1)]; ++e) {
-      const int64_t j = pattern->col_idx[ZU(e)];
-      if (i == j) {
-        bv.diag_nnz[ZU(i)] = e;
-        continue;
-      }
-      const int64_t cp = FindPair(cand_pairs, i, j);
-      if (cp >= 0) {
-        cand_pair_of_nnz[ZU(e)] = cp;
-        auto& pair = cand_nnz[ZU(cp)];
-        (pair.first < 0 ? pair.first : pair.second) = e;
-        continue;
-      }
-      const int64_t eid = FindPair(union_edges, i, j);
-      GEA_CHECK(eid >= 0);
-      edge_of_nnz[ZU(e)] = eid;
-      auto& pair = edge_nnz[ZU(eid)];
-      (pair.first < 0 ? pair.first : pair.second) = e;
-    }
-  }
-
-  // ----- Per-target views over the shared pattern. -----
-  bv.per_target.reserve(ZU(k));
-  for (int64_t t = 0; t < k; ++t) {
-    const std::vector<char>& bt = ball[ZU(t)];
-    SubgraphView v;
-    v.nodes = bv.nodes;
-    v.global_to_local = bv.global_to_local;
-    v.target_local = bv.global_to_local[ZU(
-        targets[ZU(t)])];
-    v.candidates_global = candidates_global[ZU(t)];
-    v.candidates_local.reserve(v.candidates_global.size());
-    for (int64_t c : v.candidates_global)
-      v.candidates_local.push_back(
-          bv.global_to_local[ZU(c)]);
-    const int64_t m = v.num_candidates();
-
-    // t's in-ball subset of the union edges; because both remaps ascend in
-    // global id, the subset keeps the exact slot order of t's standalone
-    // view.  edge_slot_of_union[eid] is t's undirected slot, or -1.
-    std::vector<int64_t> edge_slot_of_union(
-        ZU(num_union_edges), -1);
-    for (int64_t eid = 0; eid < num_union_edges; ++eid) {
-      const IndexPair& e = union_edges[ZU(eid)];
-      const int64_t gu = bv.nodes[ZU(e.u)];
-      const int64_t gv = bv.nodes[ZU(e.v)];
-      if (bt[ZU(gu)] && bt[ZU(gv)]) {
-        edge_slot_of_union[ZU(eid)] =
-            static_cast<int64_t>(v.edges_local.size());
-        v.edges_local.push_back(e);
-      }
-    }
-    const int64_t num_edges_t = v.num_edges();
-    const int64_t num_slots_t = num_edges_t + m;
-
-    // Out-degree column: true-degree correction inside the ball; degree+1
-    // outside so zero-valued rows normalize finitely (their entries are all
-    // 0, so the value never matters — it only has to be positive).
-    v.out_degree = Tensor(ns, 1);
-    for (int64_t l = 0; l < ns; ++l) {
-      const int64_t g = bv.nodes[ZU(l)];
-      const auto row = clean.Row(g);
-      const int64_t degree = static_cast<int64_t>(row.size());
-      if (!bt[ZU(g)]) {
-        v.out_degree.at(l, 0) = static_cast<double>(degree) + 1.0;
-        continue;
-      }
-      int64_t internal = 0;
-      for (int64_t w : row)
-        if (bt[ZU(w)]) ++internal;
-      v.out_degree.at(l, 0) = static_cast<double>(degree - internal);
-    }
-
-    // Value-level masking: 1.0 only on t's own clean-edge and diagonal
-    // slots.
-    std::vector<int64_t> slot_of_nnz(ZU(nnz), -1);
-    std::vector<int64_t> cand_of_nnz(ZU(nnz), -1);
-    std::vector<int64_t> cand_index_of_local(ZU(ns), -1);
-    for (int64_t c = 0; c < m; ++c)
-      cand_index_of_local[ZU(
-          v.candidates_local[ZU(c)])] = c;
-
-    v.base_values = Tensor(nnz, 1);
-    v.slot_nnz.assign(ZU(num_slots_t), {-1, -1});
-    for (int64_t eid = 0; eid < num_union_edges; ++eid) {
-      const int64_t slot = edge_slot_of_union[ZU(eid)];
-      if (slot < 0) continue;
-      const auto& pair = edge_nnz[ZU(eid)];
-      v.slot_nnz[ZU(slot)] = pair;
-      v.base_values.at(pair.first, 0) = 1.0;
-      v.base_values.at(pair.second, 0) = 1.0;
-      slot_of_nnz[ZU(pair.first)] = slot;
-      slot_of_nnz[ZU(pair.second)] = slot;
-    }
-    for (int64_t c = 0; c < m; ++c) {
-      const int64_t cp = FindPair(
-          cand_pairs, v.target_local,
-          v.candidates_local[ZU(c)]);
-      GEA_CHECK(cp >= 0);
-      const auto& pair = cand_nnz[ZU(cp)];
-      v.slot_nnz[ZU(num_edges_t + c)] = pair;
-      slot_of_nnz[ZU(pair.first)] = num_edges_t + c;
-      slot_of_nnz[ZU(pair.second)] = num_edges_t + c;
-      cand_of_nnz[ZU(pair.first)] = c;
-      cand_of_nnz[ZU(pair.second)] = c;
-    }
-    for (int64_t l = 0; l < ns; ++l) {
-      if (!bt[ZU(bv.nodes[ZU(l)])])
-        continue;
-      const int64_t d = bv.diag_nnz[ZU(l)];
-      v.base_values.at(d, 0) = 1.0;
-      v.diag_nnz.push_back(d);  // In-ball diagonal positions only.
-    }
-    v.und_base = Tensor(num_slots_t, 1);
-    for (int64_t s = 0; s < num_edges_t; ++s) v.und_base.at(s, 0) = 1.0;
-
-    v.slot_expand = UnitSelector(nnz, num_slots_t, slot_of_nnz);
-    v.cand_expand = UnitSelector(nnz, m, cand_of_nnz);
-    {
-      std::vector<int64_t> pad(ZU(num_slots_t), -1);
-      for (int64_t c = 0; c < m; ++c)
-        pad[ZU(num_edges_t + c)] = c;
-      v.cand_slot_pad = UnitSelector(num_slots_t, m, pad);
-      std::vector<int64_t> take(ZU(m));
-      for (int64_t c = 0; c < m; ++c)
-        take[ZU(c)] = num_edges_t + c;
-      v.cand_slot_take = UnitSelector(m, num_slots_t, take);
-    }
-    v.pattern = pattern;
-    bv.per_target.push_back(std::move(v));
-  }
-
-  bv.pattern = std::move(pattern);
-  return bv;
-}
-
-std::vector<std::vector<int64_t>> GroupTargetsBySharedNeighbors(
-    const Graph& graph, const std::vector<int64_t>& targets,
-    int64_t max_group) {
-  const int64_t m = static_cast<int64_t>(targets.size());
-  std::vector<std::vector<int64_t>> groups;
-  if (max_group <= 1) {
-    for (int64_t i = 0; i < m; ++i) groups.push_back({i});
-    return groups;
-  }
-  std::vector<char> used(ZU(m), 0);
-  for (int64_t i = 0; i < m; ++i) {
-    if (used[ZU(i)]) continue;
-    used[ZU(i)] = 1;
-    std::vector<int64_t> group{i};
-    const auto& ni = graph.Neighbors(targets[ZU(i)]);
-    std::vector<std::pair<int64_t, int64_t>> scored;  // (score, index).
-    for (int64_t j = i + 1; j < m; ++j) {
-      if (used[ZU(j)]) continue;
-      int64_t score =
-          graph.HasEdge(targets[ZU(i)],
-                        targets[ZU(j)]) ||
-                  targets[ZU(i)] ==
-                      targets[ZU(j)]
-              ? 1
-              : 0;
-      for (int64_t w : graph.Neighbors(targets[ZU(j)]))
-        score += ni.count(w) ? 1 : 0;
-      if (score > 0) scored.emplace_back(score, j);
-    }
-    std::sort(scored.begin(), scored.end(),
-              [](const std::pair<int64_t, int64_t>& a,
-                 const std::pair<int64_t, int64_t>& b) {
-                return a.first != b.first ? a.first > b.first
-                                          : a.second < b.second;
-              });
-    for (const auto& [score, j] : scored) {
-      if (static_cast<int64_t>(group.size()) >= max_group) break;
-      group.push_back(j);
-      used[ZU(j)] = 1;
-    }
-    std::sort(group.begin(), group.end());
-    groups.push_back(std::move(group));
-  }
-  return groups;
 }
 
 }  // namespace geattack

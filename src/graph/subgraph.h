@@ -135,53 +135,6 @@ SubgraphView BuildSubgraphView(const CsrPattern& adjacency, int64_t target,
                                int hops,
                                const std::vector<int64_t>& candidates_global);
 
-/// The shared-subgraph layer of the batched multi-target attack path: ONE
-/// union ball, ONE local remap, ONE static CSR pattern (union clean edges +
-/// self loops + every target's candidate slots, shared candidate pairs
-/// deduplicated) — built once per target *group* instead of once per
-/// target.
-///
-/// Each element of `per_target` is an ordinary SubgraphView expressed over
-/// the union's local indices and sharing the union `pattern`, so the whole
-/// per-target machinery (SparseAttackForward, value assembly, greedy
-/// commits) runs on it unchanged.  Per-target exactness is value-level:
-/// target t's base values carry 1.0 only on ITS in-ball clean edges and
-/// diagonal slots, every other slot is 0.0, and its out_degree column keeps
-/// the true-degree normalization of its own ball.  Because both remaps are
-/// monotone in global id, t's slots appear in the union rows in the same
-/// relative order as in its standalone view, and 0.0-valued foreign slots
-/// never change an IEEE partial sum — so forwards, gradients, and greedy
-/// picks over the union pattern are bit-identical to the standalone
-/// per-target path (out-of-ball nodes get out_degree = degree + 1 so their
-/// zero rows normalize finitely instead of 0·∞).
-///
-/// Caveat: a per-target view's `diag_nnz` lists only its in-ball diagonal
-/// positions (it is not indexed by local node like a standalone view's),
-/// and `out_degree`/`base_values` span the union.
-struct BatchedSubgraphView {
-  std::vector<int64_t> targets_global;   ///< One entry per batched target.
-  std::vector<int64_t> nodes;            ///< Union local -> global, ascending.
-  std::vector<int64_t> global_to_local;  ///< size n_global; -1 outside union.
-  std::shared_ptr<const CsrPattern> pattern;  ///< Shared augmented pattern.
-  std::vector<int64_t> diag_nnz;         ///< Per union-local node.
-  std::vector<SubgraphView> per_target;  ///< Union-index views, see above.
-
-  int64_t num_nodes() const { return static_cast<int64_t>(nodes.size()); }
-  int64_t num_targets() const {
-    return static_cast<int64_t>(targets_global.size());
-  }
-};
-
-/// Builds the shared view for a group of targets on the clean graph's CSR
-/// adjacency (as for the CSR BuildSubgraphView).  `hops` as in
-/// BuildSubgraphView (applied per target around its own ball);
-/// `candidates_global[t]` are target t's candidate endpoints (distinct from
-/// and non-adjacent to it).  Targets may repeat; shared candidate pairs
-/// (e.g. two targets proposing the same edge) collapse onto one slot.
-BatchedSubgraphView BuildBatchedSubgraphView(
-    const CsrPattern& adjacency, const std::vector<int64_t>& targets, int hops,
-    const std::vector<std::vector<int64_t>>& candidates_global);
-
 /// Membership flags (size n, 0/1) of the `hops`-hop ball around `target` in
 /// the augmented graph (clean edges + the candidate edges, which put every
 /// candidate at distance 1) — exactly the node set BuildSubgraphView would
@@ -194,17 +147,6 @@ BatchedSubgraphView BuildBatchedSubgraphView(
 std::vector<char> AugmentedBallFlags(
     const Graph& graph, int64_t target, int hops,
     const std::vector<int64_t>& candidates_global);
-
-/// Greedy grouping heuristic for batched attacks: walks `targets` in order,
-/// seeds a group with the first ungrouped target, and fills it (up to
-/// `max_group`) with the ungrouped targets sharing the most neighbors with
-/// the seed (direct adjacency counts as one shared neighbor; ties break
-/// toward lower index).  Targets sharing nothing with the seed are left for
-/// their own groups — the singleton fallback.  Returns groups of INDICES
-/// into `targets`, deterministic for a given input.
-std::vector<std::vector<int64_t>> GroupTargetsBySharedNeighbors(
-    const Graph& graph, const std::vector<int64_t>& targets,
-    int64_t max_group);
 
 }  // namespace geattack
 

@@ -72,198 +72,6 @@ Var SparseGcnLogitsVar(const SparseAttackForward& sf, const Var& raw_values) {
   return SpMMValues(sf.view->pattern, norm, MatMul(h, sf.w2));
 }
 
-StackedAttackForward MakeStackedAttackForward(const BatchedSubgraphView& bview,
-                                              const Gcn& model,
-                                              const Tensor& xw1_full) {
-  GEA_CHECK(xw1_full.rows() ==
-            static_cast<int64_t>(bview.global_to_local.size()));
-  StackedAttackForward sf;
-  sf.bview = &bview;
-  const int64_t k = bview.num_targets();
-  const int64_t ns = bview.num_nodes();
-  const int64_t h = xw1_full.cols();
-  sf.hidden = h;
-  sf.classes = model.w2().cols();
-
-  // One gather of the union rows, tiled k times for the stacked layer-1 RHS.
-  Tensor xw1_sub(ns, h);
-  Tensor xw1_tiled(ns, k * h);
-  for (int64_t l = 0; l < ns; ++l) {
-    const int64_t g = bview.nodes[static_cast<size_t>(l)];
-    for (int64_t j = 0; j < h; ++j) {
-      const double v = xw1_full.at(g, j);
-      xw1_sub.at(l, j) = v;
-      for (int64_t t = 0; t < k; ++t) xw1_tiled.at(l, t * h + j) = v;
-    }
-  }
-  sf.xw1 = Constant(std::move(xw1_sub), "xw1_union");
-  sf.xw1_tiled = Constant(std::move(xw1_tiled), "xw1_tiled");
-  sf.w2 = Constant(model.w2(), "w2");
-
-  Tensor out_deg(ns, k);
-  for (int64_t t = 0; t < k; ++t)
-    for (int64_t l = 0; l < ns; ++l)
-      out_deg.at(l, t) =
-          bview.per_target[static_cast<size_t>(t)].out_degree.at(l, 0);
-  sf.out_deg = Constant(std::move(out_deg), "out_deg_stacked");
-
-  // Slot ownership: the clean + diagonal support of the column's base
-  // values plus its candidate slots (whose base is 0 until committed).
-  Tensor slot_mask(bview.pattern->nnz(), k);
-  for (int64_t t = 0; t < k; ++t) {
-    const SubgraphView& view = bview.per_target[static_cast<size_t>(t)];
-    for (int64_t e = 0; e < bview.pattern->nnz(); ++e)
-      slot_mask.at(e, t) = view.base_values.at(e, 0);
-    for (int64_t c = 0; c < view.num_candidates(); ++c) {
-      const auto& pair =
-          view.slot_nnz[static_cast<size_t>(view.num_edges() + c)];
-      slot_mask.at(pair.first, t) = 1.0;
-      slot_mask.at(pair.second, t) = 1.0;
-    }
-  }
-  sf.slot_mask = Constant(std::move(slot_mask), "slot_mask");
-
-  sf.per_target.reserve(static_cast<size_t>(k));
-  for (int64_t t = 0; t < k; ++t) {
-    SparseAttackForward pt;
-    pt.view = &bview.per_target[static_cast<size_t>(t)];
-    pt.xw1 = sf.xw1;
-    pt.w2 = sf.w2;
-    pt.out_deg = Constant(pt.view->out_degree, "out_deg");
-    pt.base_values = pt.view->base_values;
-    pt.und_base = pt.view->und_base;
-    sf.per_target.push_back(std::move(pt));
-  }
-  return sf;
-}
-
-namespace {
-
-Var ScatterPairsColumn(const StackedAttackForward& sf, const Var& u,
-                       int64_t t);
-
-/// out[c] = g[pair_c.first, t] + g[pair_c.second, t] over target t's
-/// candidate slot pairs — the O(m) adjoint of scattering w onto column t.
-/// Bit-identical to the SpMM(cand_expandᵀ, g column) gather (both nnz
-/// positions are visited in ascending order).
-Var GatherPairsColumn(const StackedAttackForward& sf, const Var& g,
-                      int64_t t) {
-  const SubgraphView* view = sf.per_target[static_cast<size_t>(t)].view;
-  const int64_t m = view->num_candidates();
-  const int64_t k = sf.num_targets();
-  Tensor out(m, 1);
-  const double* gd = g.value().data().data();
-  for (int64_t c = 0; c < m; ++c) {
-    const auto& pair =
-        view->slot_nnz[static_cast<size_t>(view->num_edges() + c)];
-    out.at(c, 0) = gd[pair.first * k + t] + gd[pair.second * k + t];
-  }
-  const StackedAttackForward* sfp = &sf;
-  return MakeOpNode(
-      std::move(out), {g},
-      [sfp, t](const Var& u) -> std::vector<Var> {
-        return {ScatterPairsColumn(*sfp, u, t)};
-      },
-      "gather_pairs_column");
-}
-
-/// (nnz, k) zero matrix with u scattered onto target t's candidate slot
-/// pairs — the adjoint of GatherPairsColumn.
-Var ScatterPairsColumn(const StackedAttackForward& sf, const Var& u,
-                       int64_t t) {
-  const SubgraphView* view = sf.per_target[static_cast<size_t>(t)].view;
-  const int64_t m = view->num_candidates();
-  const int64_t k = sf.num_targets();
-  Tensor out(sf.bview->pattern->nnz(), k);
-  for (int64_t c = 0; c < m; ++c) {
-    const auto& pair =
-        view->slot_nnz[static_cast<size_t>(view->num_edges() + c)];
-    out.at(pair.first, t) += u.value().at(c, 0);
-    out.at(pair.second, t) += u.value().at(c, 0);
-  }
-  const StackedAttackForward* sfp = &sf;
-  return MakeOpNode(
-      std::move(out), {u},
-      [sfp, t](const Var& g) -> std::vector<Var> {
-        return {GatherPairsColumn(*sfp, g, t)};
-      },
-      "scatter_pairs_column");
-}
-
-}  // namespace
-
-Var StackedRawValues(const StackedAttackForward& sf,
-                     const std::vector<Var>& ws) {
-  GEA_CHECK(sf.bview != nullptr);
-  const int64_t k = sf.num_targets();
-  GEA_CHECK(static_cast<int64_t>(ws.size()) == k && k >= 1);
-  const int64_t nnz = sf.bview->pattern->nnz();
-  Tensor out(nnz, k);
-  std::vector<char> need(static_cast<size_t>(k), 0);
-  for (int64_t t = 0; t < k; ++t) {
-    const SparseAttackForward& pt = sf.per_target[static_cast<size_t>(t)];
-    const Var& w = ws[static_cast<size_t>(t)];
-    GEA_CHECK(w.defined() && w.rows() == pt.view->num_candidates() &&
-              w.cols() == 1);
-    need[static_cast<size_t>(t)] = w.requires_grad() ? 1 : 0;
-    // base + scattered w, exactly like Add(base, SpMM(cand_expand, w)):
-    // x + 0.0 == x bitwise, and candidate bases start at 0.0.
-    const double* base = pt.base_values.data().data();
-    for (int64_t e = 0; e < nnz; ++e) out.at(e, t) = base[e];
-    for (int64_t c = 0; c < pt.view->num_candidates(); ++c) {
-      const auto& pair =
-          pt.view->slot_nnz[static_cast<size_t>(pt.view->num_edges() + c)];
-      out.at(pair.first, t) += w.value().at(c, 0);
-      out.at(pair.second, t) += w.value().at(c, 0);
-    }
-  }
-  const StackedAttackForward* sfp = &sf;
-  return MakeOpNode(
-      std::move(out), ws,
-      [sfp, need](const Var& g) -> std::vector<Var> {
-        std::vector<Var> grads(need.size());
-        for (size_t t = 0; t < need.size(); ++t)
-          if (need[t])
-            grads[t] = GatherPairsColumn(*sfp, g, static_cast<int64_t>(t));
-        return grads;
-      },
-      "stacked_raw_values");
-}
-
-Var StackedGcnLogitsVarFromValues(const StackedAttackForward& sf,
-                                  const Var& values) {
-  GEA_CHECK(sf.bview != nullptr && values.defined());
-  const int64_t k = sf.num_targets();
-  const auto& pattern = sf.bview->pattern;
-  GEA_CHECK(values.rows() == pattern->nnz() && values.cols() == k);
-  // ONE stacked normalization node shared by both layers: the backward
-  // chain is built once and ∂L/∂Ã from both SpMMs flows through it a
-  // single time, exactly like the single-target SparseGcnLogitsVar.
-  Var norm = GcnNormValuesStacked(pattern, values, sf.out_deg);
-  Var h = Relu(SpMMValuesStacked(pattern, norm, sf.xw1_tiled, sf.slot_mask));
-  Var hw = BlockDiagMatMul(h, sf.w2, k);
-  return SpMMValuesStacked(pattern, norm, hw, sf.slot_mask);
-}
-
-Var StackedGcnLogitsVar(const StackedAttackForward& sf,
-                        const std::vector<Var>& raw_columns) {
-  GEA_CHECK(sf.bview != nullptr);
-  const int64_t k = sf.num_targets();
-  GEA_CHECK(static_cast<int64_t>(raw_columns.size()) == k && k >= 1);
-  const auto& pattern = sf.bview->pattern;
-  for (const Var& col : raw_columns) {
-    GEA_CHECK(col.defined() && col.rows() == pattern->nnz() &&
-              col.cols() == 1);
-  }
-  return StackedGcnLogitsVarFromValues(sf, StackCols(raw_columns));
-}
-
-Var StackedLogitsBlock(const StackedAttackForward& sf, const Var& stacked,
-                       int64_t t) {
-  GEA_CHECK(t >= 0 && t < sf.num_targets());
-  return SliceCols(stacked, t * sf.classes, sf.classes);
-}
-
 void CommitCandidate(SparseAttackForward* sf, int64_t cand_index) {
   GEA_CHECK(sf != nullptr && sf->view != nullptr);
   GEA_CHECK(cand_index >= 0 && cand_index < sf->view->num_candidates());

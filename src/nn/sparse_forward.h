@@ -82,68 +82,6 @@ Var SparseGcnLogitsVar(const SparseAttackForward& sf, const Var& raw_values);
 /// in both base vectors.  O(1).
 void CommitCandidate(SparseAttackForward* sf, int64_t cand_index);
 
-// ----- Stacked multi-target forward (batched attacks). ----------------------
-
-/// Group-level forward state: ONE X·W₁ gather over the union nodes shared
-/// by k per-target SparseAttackForwards (their value assembly and commit
-/// machinery is exactly the single-target one — each runs on its own view
-/// from BatchedSubgraphView), plus the stacked constants of the wide
-/// forward.
-struct StackedAttackForward {
-  const BatchedSubgraphView* bview = nullptr;
-  /// Per-target states over the shared union pattern; index matches
-  /// bview->per_target.  Their xw1/w2/out_deg Vars alias the shared ones.
-  std::vector<SparseAttackForward> per_target;
-  Var xw1;        ///< (n_union, h) shared constant.
-  Var xw1_tiled;  ///< (n_union, k·h): k copies side by side — layer-1 RHS.
-  Var w2;         ///< (h, c) constant.
-  Var out_deg;    ///< (n_union, k): per-target out-degree columns.
-  /// (nnz, k) slot-ownership constant: 1.0 where column t may ever hold a
-  /// nonzero value or have its gradient read (t's in-ball clean edges,
-  /// diagonal, and candidate slots), 0.0 on foreign slots.  Lets the
-  /// stacked backward skip per-column gradient work on slots the column
-  /// never owns.
-  Var slot_mask;
-  int64_t hidden = 0;
-  int64_t classes = 0;
-
-  int64_t num_targets() const {
-    return static_cast<int64_t>(per_target.size());
-  }
-};
-
-/// Builds the stacked forward state for a target group.
-StackedAttackForward MakeStackedAttackForward(const BatchedSubgraphView& bview,
-                                              const Gcn& model,
-                                              const Tensor& xw1_full);
-
-/// The stacked twin of RawValuesFromCandidates: ONE (nnz, k) node holding
-/// every target's committed base column with its candidate Var `ws[t]`
-/// scattered onto its two directed slots — one pass instead of k
-/// Constant/scatter/Add chains, with O(m_t) per-target gathers in the
-/// backward.  Column t is bit-identical to
-/// RawValuesFromCandidates(sf.per_target[t], ws[t]).
-Var StackedRawValues(const StackedAttackForward& sf,
-                     const std::vector<Var>& ws);
-
-/// The wide two-layer GCN forward: `raw_columns[t]` is target t's (nnz,1)
-/// raw value column (e.g. RawValuesFromCandidates(sf.per_target[t], w_t)).
-/// Returns the (n_union, k·c) stacked logits whose block t is bit-identical
-/// to SparseGcnLogitsVar(per-target) on t's ball rows.  One stacked
-/// normalization node is shared by both layers (the PR-4 lesson) and one
-/// kernel pass per layer serves every target.
-Var StackedGcnLogitsVar(const StackedAttackForward& sf,
-                        const std::vector<Var>& raw_columns);
-
-/// StackedGcnLogitsVar from an already-stacked (nnz, k) values Var (e.g.
-/// the output of StackedRawValues).
-Var StackedGcnLogitsVarFromValues(const StackedAttackForward& sf,
-                                  const Var& values);
-
-/// Target t's (n_union, c) logits block of a StackedGcnLogitsVar output.
-Var StackedLogitsBlock(const StackedAttackForward& sf, const Var& stacked,
-                       int64_t t);
-
 }  // namespace geattack
 
 #endif  // GEATTACK_SRC_NN_SPARSE_FORWARD_H_

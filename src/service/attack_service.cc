@@ -1,6 +1,7 @@
 #include "src/service/attack_service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <utility>
@@ -15,6 +16,18 @@ std::chrono::steady_clock::time_point AfterMs(
     std::chrono::steady_clock::time_point from, double ms) {
   return from + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                     std::chrono::duration<double, std::milli>(ms));
+}
+
+/// Whether a request's relative deadline can be armed at `now`: <= 0 is
+/// "none"; otherwise it must be finite and land on the steady clock.  The
+/// second of slack covers the double-to-tick rounding and the moment
+/// between this check and arming the request's token.
+bool DeadlineFits(double ms, std::chrono::steady_clock::time_point now) {
+  if (!std::isfinite(ms)) return false;
+  if (ms <= 0.0) return true;
+  const std::chrono::duration<double, std::milli> room =
+      std::chrono::steady_clock::time_point::max() - now;
+  return ms < room.count() - 1000.0;
 }
 
 /// Unique churn endpoints, for ball-overlap checks.
@@ -336,7 +349,8 @@ Admission AttackService::Submit(const AttackServiceRequest& request) {
   const std::shared_ptr<const GraphSnapshot>& snap = graph_it->second;
   const int64_t n = snap->data.num_nodes();
   if (request.target_node < 0 || request.target_node >= n ||
-      request.target_label < -1 || request.budget < 0) {
+      request.target_label < -1 ||
+      request.target_label >= snap->data.num_classes || request.budget < 0) {
     ++stats_.rejected_invalid;
     return {Status::InvalidArgument("bad request: node " +
                                     std::to_string(request.target_node) +
@@ -344,6 +358,13 @@ Admission AttackService::Submit(const AttackServiceRequest& request) {
                                     std::to_string(request.target_label) +
                                     " budget " +
                                     std::to_string(request.budget)),
+            -1};
+  }
+  if (!DeadlineFits(request.deadline_ms, std::chrono::steady_clock::now())) {
+    ++stats_.rejected_invalid;
+    return {Status::InvalidArgument(
+                "deadline " + std::to_string(request.deadline_ms) +
+                " ms is not a finite offset on the steady clock"),
             -1};
   }
   // Feasibility pre-check: a deadline below the floor cannot finish even on
@@ -644,7 +665,6 @@ void AttackService::DispatcherLoop() {
 
     AttackDriverConfig driver_config;
     driver_config.num_threads = config_.num_threads;
-    driver_config.batch_targets = config_.batch_targets;
     driver_config.target_deadline_ms = wave_deadline_ms;
     driver_config.request_seeds = std::move(seeds);
 

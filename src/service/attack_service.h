@@ -109,8 +109,6 @@ struct AttackServiceConfig {
   uint64_t base_seed = 0;
   /// Worker threads handed to the driver per dispatch wave.
   int num_threads = 1;
-  /// Driver target-group size within a wave (see AttackDriverConfig).
-  int batch_targets = 1;
   /// Bounded queue: Submit rejects with kResourceExhausted when this many
   /// requests are already queued (in-flight waves do not count).  Retries
   /// share the bound: a failed attempt whose retry finds the queue full is
@@ -182,7 +180,8 @@ struct AttackServiceRequest {
   int32_t priority = 0;
   /// Relative deadline from admission, in milliseconds; <= 0 = none.
   /// Queue wait counts against it: a request still queued when it expires
-  /// comes back kSkipped without ever consuming its rng stream.
+  /// comes back kSkipped without ever consuming its rng stream.  NaN,
+  /// infinities and offsets past the steady clock's range are rejected.
   double deadline_ms = 0.0;
 };
 
@@ -313,8 +312,9 @@ class AttackService {
   RecoveryReport Recover();
 
   /// Admission control.  Never blocks.  Rejections are structured:
-  /// kNotFound (unregistered graph), kInvalidArgument (bad node / label /
-  /// budget), kResourceExhausted (queue full, or deadline below the
+  /// kNotFound (unregistered graph), kInvalidArgument (a node / label /
+  /// budget the driver would reject, or a deadline the steady clock cannot
+  /// hold), kResourceExhausted (queue full, or deadline below the
   /// feasibility floor).  With journaling on, the admission is durable
   /// (fsync'd `s` record) before the ticket is returned.
   Admission Submit(const AttackServiceRequest& request);

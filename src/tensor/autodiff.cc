@@ -75,12 +75,6 @@ Var ReduceTo(const Var& g, int64_t rows, int64_t cols) {
 
 }  // namespace
 
-Var MakeOpNode(Tensor value, std::vector<Var> parents,
-               Node::BackwardFn backward, std::string op_name) {
-  return MakeOp(std::move(value), std::move(parents), std::move(backward),
-                std::move(op_name));
-}
-
 Var Constant(Tensor value, std::string name) {
   return Var::Leaf(std::move(value), /*requires_grad=*/false, std::move(name));
 }
@@ -447,73 +441,6 @@ Var SpmmValueGrad(std::shared_ptr<const CsrPattern> pattern, const Var& g,
       "spmm_value_grad");
 }
 
-Var SpMMValuesStacked(std::shared_ptr<const CsrPattern> pattern,
-                      const Var& values, const Var& b,
-                      const Var& values_mask) {
-  GEA_CHECK(pattern != nullptr);
-  GEA_CHECK(values.defined() && b.defined());
-  const int64_t k = values.cols();
-  GEA_CHECK(k >= 1 && values.rows() == pattern->nnz());
-  GEA_CHECK(b.rows() == pattern->cols && b.cols() % k == 0);
-  if (values_mask.defined()) {
-    GEA_CHECK(!values_mask.requires_grad());
-    GEA_CHECK(values_mask.rows() == pattern->nnz() &&
-              values_mask.cols() == k);
-  }
-  Tensor out = SpmmStackedRaw(*pattern, values.value(), b.value());
-  const bool need_v = values.requires_grad(), need_b = b.requires_grad();
-  return MakeOp(
-      std::move(out), {values, b},
-      [pattern, values, b, k, values_mask, need_v,
-       need_b](const Var& g) -> std::vector<Var> {
-        const CsrTranspose& t = pattern->Transpose();  // Cached after 1st.
-        auto perm = std::shared_ptr<const std::vector<int64_t>>(
-            pattern, &t.src_index);
-        Var grad_values =
-            need_v ? SpmmValueGradStacked(pattern, g, b, k, values_mask)
-                   : Var();
-        Var grad_b = need_b ? SpMMValuesStacked(
-                                  t.pattern, PermuteRows(values, perm), g)
-                            : Var();
-        return {grad_values, grad_b};
-      },
-      "spmm_values_stacked");
-}
-
-Var SpmmValueGradStacked(std::shared_ptr<const CsrPattern> pattern,
-                         const Var& g, const Var& b, int64_t k,
-                         const Var& mask) {
-  GEA_CHECK(pattern != nullptr);
-  GEA_CHECK(g.defined() && b.defined());
-  GEA_CHECK(g.rows() == pattern->rows && b.rows() == pattern->cols);
-  GEA_CHECK(g.cols() == b.cols());
-  GEA_CHECK(k >= 1 && g.cols() % k == 0);
-  if (mask.defined()) {
-    GEA_CHECK(!mask.requires_grad());
-    GEA_CHECK(mask.rows() == pattern->nnz() && mask.cols() == k);
-  }
-  Tensor out = SpmmValueGradStackedRaw(
-      *pattern, g.value(), b.value(), k,
-      mask.defined() ? mask.value().data().data() : nullptr);
-  const bool need_g = g.requires_grad(), need_b = b.requires_grad();
-  return MakeOp(
-      std::move(out), {g, b},
-      [pattern, g, b, mask, need_g, need_b](const Var& u) -> std::vector<Var> {
-        const CsrTranspose& t = pattern->Transpose();  // Cached after 1st.
-        auto perm = std::shared_ptr<const std::vector<int64_t>>(
-            pattern, &t.src_index);
-        // The forward is mask ∘ VG(g, b), so the adjoint masks the upstream
-        // before it re-enters the stacked products.
-        Var um = mask.defined() ? Mul(u, mask) : u;
-        Var grad_g = need_g ? SpMMValuesStacked(pattern, um, b, mask) : Var();
-        Var grad_b = need_b ? SpMMValuesStacked(t.pattern,
-                                                PermuteRows(um, perm), g)
-                            : Var();
-        return {grad_g, grad_b};
-      },
-      "spmm_value_grad_stacked");
-}
-
 namespace {
 
 /// Symbolic rebuild of the GCN normalization chain over a square pattern —
@@ -626,79 +553,6 @@ Var GcnNormSpMM(std::shared_ptr<const CsrPattern> pattern, const Var& values,
       "gcn_norm_spmm");
 }
 
-namespace {
-
-/// Column-stacked twin of BuildNormChain/NormChainGrads: the same symbolic
-/// normalization chain, expressed through the stacked ops so one pass
-/// serves all k columns while column t stays bit-identical to the narrow
-/// chain on (values[:,t], od[:,t]).
-struct StackedNormChain {
-  std::shared_ptr<const std::vector<int64_t>> perm;
-  std::shared_ptr<const CsrPattern> t_pattern;
-  Var ones, deg, dinv, dr, dc;
-};
-
-StackedNormChain BuildStackedNormChain(
-    const std::shared_ptr<const CsrPattern>& pattern, const Var& values,
-    const Var& od, int64_t k) {
-  const CsrTranspose& t = pattern->Transpose();  // Cached after 1st use.
-  StackedNormChain c;
-  c.perm =
-      std::shared_ptr<const std::vector<int64_t>>(pattern, &t.src_index);
-  c.t_pattern = t.pattern;
-  c.ones = Constant(Tensor::Ones(pattern->rows, k), "ones");
-  c.deg = Add(SpMMValuesStacked(pattern, values, c.ones), od);
-  c.dinv = Pow(c.deg, -0.5);
-  c.dr = SpmmValueGradStacked(pattern, c.dinv, c.ones, k);  // d̃^{-1/2}[r_e].
-  c.dc = SpmmValueGradStacked(pattern, c.ones, c.dinv, k);  // d̃^{-1/2}[c_e].
-  return c;
-}
-
-void StackedNormChainGrads(const std::shared_ptr<const CsrPattern>& pattern,
-                           const StackedNormChain& c, const Var& values,
-                           const Var& gnorm, int64_t k, bool need_v, Var* gv,
-                           Var* gdeg) {
-  Var gvdc = Mul(Mul(gnorm, values), c.dc);
-  Var gvdr = Mul(Mul(gnorm, values), c.dr);
-  Var gs = Add(SpMMValuesStacked(pattern, gvdc, c.ones),
-               SpMMValuesStacked(c.t_pattern, PermuteRows(gvdr, c.perm),
-                                 c.ones));
-  *gdeg = Mul(gs, MulScalar(Pow(c.deg, -1.5), -0.5));
-  if (need_v) {
-    *gv = Add(Mul(gnorm, Mul(c.dr, c.dc)),
-              SpmmValueGradStacked(pattern, *gdeg, c.ones, k));
-  }
-}
-
-}  // namespace
-
-Var GcnNormValuesStacked(std::shared_ptr<const CsrPattern> pattern,
-                         const Var& values, const Var& out_deg) {
-  GEA_CHECK(pattern != nullptr);
-  GEA_CHECK(pattern->rows == pattern->cols);
-  GEA_CHECK(values.defined());
-  const int64_t k = values.cols();
-  GEA_CHECK(k >= 1 && values.rows() == pattern->nnz());
-  const int64_t n = pattern->rows;
-  Var od = out_deg.defined() ? out_deg : Constant(Tensor::Zeros(n, k), "od0");
-  GEA_CHECK(od.rows() == n && od.cols() == k);
-  Tensor out = GcnNormValuesStackedRaw(*pattern, values.value(), od.value());
-  const bool need_v = values.requires_grad();
-  const bool need_od = od.requires_grad();
-  return MakeOp(
-      std::move(out), {values, od},
-      [pattern, values, od, k, need_v,
-       need_od](const Var& gnorm) -> std::vector<Var> {
-        const StackedNormChain c =
-            BuildStackedNormChain(pattern, values, od, k);
-        Var gv, gdeg;
-        StackedNormChainGrads(pattern, c, values, gnorm, k, need_v, &gv,
-                              &gdeg);
-        return {gv, need_od ? gdeg : Var()};
-      },
-      "gcn_norm_values_stacked");
-}
-
 Var PermuteRows(const Var& a,
                 std::shared_ptr<const std::vector<int64_t>> perm) {
   GEA_CHECK(a.defined());
@@ -765,88 +619,6 @@ Var HConcat(const Var& a, const Var& b) {
         return {SliceCols(g, 0, ac), SliceCols(g, ac, bc)};
       },
       "hconcat");
-}
-
-Var StackCols(const std::vector<Var>& parts) {
-  GEA_CHECK(!parts.empty());
-  if (parts.size() == 1) return parts[0];
-  const int64_t rows = parts[0].rows();
-  int64_t total = 0;
-  for (const Var& p : parts) {
-    GEA_CHECK(p.defined() && p.rows() == rows);
-    total += p.cols();
-  }
-  Tensor out(rows, total);
-  std::vector<int64_t> offsets, lens;
-  {
-    int64_t off = 0;
-    double* o = out.mutable_data().data();
-    for (const Var& p : parts) {
-      const int64_t c = p.cols();
-      const double* src = p.value().data().data();
-      for (int64_t i = 0; i < rows; ++i)
-        for (int64_t j = 0; j < c; ++j) o[i * total + off + j] = src[i * c + j];
-      offsets.push_back(off);
-      lens.push_back(c);
-      off += c;
-    }
-  }
-  return MakeOp(
-      std::move(out), parts,
-      [offsets, lens](const Var& g) -> std::vector<Var> {
-        std::vector<Var> grads;
-        grads.reserve(offsets.size());
-        for (size_t i = 0; i < offsets.size(); ++i)
-          grads.push_back(SliceCols(g, offsets[i], lens[i]));
-        return grads;
-      },
-      "stack_cols");
-}
-
-Var BlockDiagMatMul(const Var& a, const Var& b, int64_t k) {
-  GEA_CHECK(a.defined() && b.defined());
-  GEA_CHECK(k >= 1 && a.cols() % k == 0);
-  const int64_t h = a.cols() / k;
-  GEA_CHECK(b.rows() == h);
-  const int64_t rows = a.rows(), c = b.cols();
-  Tensor out(rows, k * c);
-  {
-    const double* ad = a.value().data().data();
-    const double* bd = b.value().data().data();
-    double* o = out.mutable_data().data();
-    // Per block: the exact i-k-j order (and zero-skip) of Tensor::MatMul,
-    // so each block is bit-identical to the narrow product.
-    for (int64_t i = 0; i < rows; ++i) {
-      const double* ai = ad + i * k * h;
-      double* ci = o + i * k * c;
-      for (int64_t t = 0; t < k; ++t) {
-        const double* at = ai + t * h;
-        double* ct = ci + t * c;
-        for (int64_t kk = 0; kk < h; ++kk) {
-          const double av = at[kk];
-          if (av == 0.0) continue;
-          const double* bk = bd + kk * c;
-          for (int64_t j = 0; j < c; ++j) ct[j] += av * bk[j];
-        }
-      }
-    }
-  }
-  const bool need_a = a.requires_grad(), need_b = b.requires_grad();
-  return MakeOp(
-      std::move(out), {a, b},
-      [a, b, k, h, c, need_a, need_b](const Var& g) -> std::vector<Var> {
-        Var ga = need_a ? BlockDiagMatMul(g, Transpose(b), k) : Var();
-        Var gb;
-        if (need_b) {
-          for (int64_t t = 0; t < k; ++t) {
-            Var gt = MatMul(Transpose(SliceCols(a, t * h, h)),
-                            SliceCols(g, t * c, c));
-            gb = t == 0 ? gt : Add(gb, gt);
-          }
-        }
-        return {ga, gb};
-      },
-      "block_diag_matmul");
 }
 
 Var SliceCols(const Var& a, int64_t start, int64_t len) {

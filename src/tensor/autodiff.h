@@ -95,15 +95,6 @@ class Node {
 
 // ----- Graph construction helpers. -----------------------------------------
 
-/// Wraps a computed value, its parents, and a backward closure into a graph
-/// node: requires_grad is inherited from the parents, and the backward is
-/// attached only when some parent needs gradients.  The construction policy
-/// every built-in op uses — out-of-module ops (e.g. the stacked attack
-/// forward in src/nn/sparse_forward.cc) must build nodes through this too,
-/// so the policy lives in exactly one place.
-Var MakeOpNode(Tensor value, std::vector<Var> parents,
-               Node::BackwardFn backward, std::string op_name);
-
 /// Leaf constant (requires_grad = false).
 Var Constant(Tensor value, std::string name = "const");
 /// Scalar constant.
@@ -210,46 +201,6 @@ Var SpmmValueGrad(std::shared_ptr<const CsrPattern> pattern, const Var& g,
 /// out[i,:] = a[perm[i],:].  `perm` must be a permutation of [0, m).
 Var PermuteRows(const Var& a, std::shared_ptr<const std::vector<int64_t>> perm);
 
-// ----- Column-stacked sparse ops (batched multi-target attacks). ------------
-//
-// k independent sparse problems sharing ONE pattern: `values` carries one
-// value column per problem ((nnz,k)) and dense operands carry k blocks side
-// by side ((rows, k·b)).  Block t of every op is bit-identical to the
-// corresponding narrow op on column t alone — per-column gradients never
-// mix, which is what keeps batched attack targets exactly independent.
-// Backwards are composed from the stacked ops themselves, so gradients of
-// any order are available (the batched GEAttack hypergradient rides through
-// unchanged).
-
-/// out[:, t·b:(t+1)·b] = A(values[:,t]) · b[:, t·b:(t+1)·b] in one kernel
-/// pass over the shared pattern (SpmmStackedRaw).  Gradients flow into both
-/// `values` and `b`.  `values_mask` (optional, a non-differentiable (nnz,k)
-/// 0/1 constant) is the slot-ownership mask of `values`: entries outside it
-/// are promised to be 0.0 forever, and the backward then skips computing
-/// the values-gradient there (those entries are only ever consumed
-/// multiplied by the zero values or sliced away per column, so the skip is
-/// result-invisible — it just makes per-column gradient work proportional
-/// to the column's own slot count).
-Var SpMMValuesStacked(std::shared_ptr<const CsrPattern> pattern,
-                      const Var& values, const Var& b,
-                      const Var& values_mask = Var());
-
-/// out[e,t] = Σ_j g[r_e, t·m+j] · b[c_e, t·m+j] as an (nnz,k) matrix — the
-/// adjoint of SpMMValuesStacked with respect to its values operand.  `k`
-/// (the block count) cannot be inferred from the operand shapes.  With
-/// `mask` the masked-out entries are 0.0 and their dot products are never
-/// evaluated (see SpMMValuesStacked).
-Var SpmmValueGradStacked(std::shared_ptr<const CsrPattern> pattern,
-                         const Var& g, const Var& b, int64_t k,
-                         const Var& mask = Var());
-
-/// Column-stacked GcnNormValues: normalizes each value column with its own
-/// out-degree column (`out_deg` is (n,k); undefined = zeros).  One node /
-/// kernel pass for all k columns; column t bit-identical to
-/// GcnNormValues(pattern, values[:,t], out_deg[:,t]).
-Var GcnNormValuesStacked(std::shared_ptr<const CsrPattern> pattern,
-                         const Var& values, const Var& out_deg = Var());
-
 /// Fused GCN normalization over a square pattern with differentiable
 /// entries `values` ((nnz,1), pattern order): returns the (nnz,1)
 /// normalized values Ã_e = v_e·d̃^{-1/2}[r_e]·d̃^{-1/2}[c_e] with
@@ -282,19 +233,6 @@ Var GcnNormSpMM(std::shared_ptr<const CsrPattern> pattern, const Var& values,
 
 /// Horizontal concatenation [a | b]; rows must match.
 Var HConcat(const Var& a, const Var& b);
-
-/// N-ary horizontal concatenation [p₀ | p₁ | … ] as ONE node: a single
-/// copy forward and one SliceCols per part backward, instead of the
-/// O(N²) copy pyramid a chain of binary HConcats builds.  The column
-/// assembly of the stacked multi-target forward.
-Var StackCols(const std::vector<Var>& parts);
-
-/// Block-diagonal product: with a (rows, k·h) and a (h, c) right factor,
-/// block t of the (rows, k·c) output is a[:, t·h:(t+1)·h] · b.  One node
-/// and kernel pass for all k blocks; each block is bit-identical to
-/// MatMul(SliceCols(a, t·h, h), b) (same i-k-j accumulation order and
-/// zero-skip as Tensor::MatMul).  Gradients flow into both operands.
-Var BlockDiagMatMul(const Var& a, const Var& b, int64_t k);
 
 /// Columns [start, start+len) of a.
 Var SliceCols(const Var& a, int64_t start, int64_t len);

@@ -159,90 +159,6 @@ std::vector<float> ValuesToF32(const std::vector<double>& values) {
   return f;
 }
 
-Tensor SpmmStackedRaw(const CsrPattern& pattern, const Tensor& values,
-                      const Tensor& dense) {
-  const int64_t k = values.cols();
-  GEA_CHECK(k >= 1);
-  GEA_CHECK(values.rows() == pattern.nnz());
-  GEA_CHECK(pattern.cols == dense.rows());
-  GEA_CHECK(dense.cols() % k == 0);
-  const int64_t b = dense.cols() / k;
-  const int64_t kb = dense.cols();
-  Tensor out(pattern.rows, kb);
-  const double* GEA_RESTRICT v = values.data().data();
-  const double* GEA_RESTRICT bd = dense.data().data();
-  const int64_t* GEA_RESTRICT row_ptr = pattern.row_ptr.data();
-  const int64_t* GEA_RESTRICT col = pattern.col_idx.data();
-  double* GEA_RESTRICT o = out.mutable_data().data();
-  // The (k·b)-wide output row is the tile: at attack sizes (k <= 8 blocks of
-  // a 16-wide hidden layer) it is at most a few KB and stays L1-resident
-  // while the dense rows stream.  e is the outer loop, so each output
-  // element still accumulates in ascending-e order — the determinism
-  // contract of SpmmAccumulate.
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 64)
-#endif
-  for (int64_t i = 0; i < pattern.rows; ++i) {
-    double* GEA_RESTRICT row_out = o + i * kb;
-    for (int64_t e = row_ptr[ZU(i)]; e < row_ptr[ZU(i + 1)]; ++e) {
-      const double* GEA_RESTRICT ve = v + e * k;
-      const double* GEA_RESTRICT brow = bd + col[e] * kb;
-      for (int64_t t = 0; t < k; ++t) {
-        const double vt = ve[t];
-        // Exact-zero columns are skipped: a stacked pattern carries every
-        // batched target's candidate slots, so most entries are zero in
-        // most columns (foreign slots).  Adding ±0·b[j] never changes an
-        // IEEE accumulator that started at +0 (+0 + ±0 = +0, x + ±0 = x),
-        // so the skip is bit-invisible — and it is what keeps the batched
-        // work per column proportional to that target's OWN slot count.
-        if (vt == 0.0) continue;
-        const int64_t j0 = t * b;
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-        for (int64_t j = j0; j < j0 + b; ++j) row_out[j] += vt * brow[j];
-      }
-    }
-  }
-  return out;
-}
-
-Tensor SpmmValueGradStackedRaw(const CsrPattern& pattern, const Tensor& g,
-                               const Tensor& b, int64_t k,
-                               const double* mask) {
-  GEA_CHECK(k >= 1);
-  GEA_CHECK(g.rows() == pattern.rows && b.rows() == pattern.cols);
-  GEA_CHECK(g.cols() == b.cols());
-  GEA_CHECK(g.cols() % k == 0);
-  const int64_t m = g.cols() / k;
-  const int64_t km = g.cols();
-  Tensor out(pattern.nnz(), k);
-  const double* GEA_RESTRICT gd = g.data().data();
-  const double* GEA_RESTRICT bd = b.data().data();
-  double* GEA_RESTRICT o = out.mutable_data().data();
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 64)
-#endif
-  for (int64_t i = 0; i < pattern.rows; ++i) {
-    const double* GEA_RESTRICT grow = gd + i * km;
-    const int64_t e_end = pattern.row_ptr[ZU(i + 1)];
-    for (int64_t e = pattern.row_ptr[ZU(i)]; e < e_end; ++e) {
-      const double* GEA_RESTRICT brow = bd + pattern.col_idx[ZU(e)] * km;
-      for (int64_t t = 0; t < k; ++t) {
-        if (mask != nullptr && mask[e * k + t] == 0.0) {
-          o[e * k + t] = 0.0;
-          continue;
-        }
-        double s = 0.0;
-        const int64_t j0 = t * m;
-        for (int64_t j = j0; j < j0 + m; ++j) s += grow[j] * brow[j];
-        o[e * k + t] = s;
-      }
-    }
-  }
-  return out;
-}
-
 namespace {
 
 /// d̃^{-1/2} per node for (pattern row sums of values) + out_deg, matching
@@ -288,51 +204,6 @@ Tensor GcnNormValuesRaw(const CsrPattern& pattern,
     for (int64_t e = pattern.row_ptr[ZU(i)]; e < pattern.row_ptr[ZU(i + 1)];
          ++e)
       o[e] = (v[e] * si) * s[col[e]];
-  }
-  return out;
-}
-
-Tensor GcnNormValuesStackedRaw(const CsrPattern& pattern, const Tensor& values,
-                               const Tensor& out_deg) {
-  GEA_CHECK(pattern.rows == pattern.cols);
-  const int64_t k = values.cols();
-  GEA_CHECK(k >= 1);
-  GEA_CHECK(values.rows() == pattern.nnz());
-  GEA_CHECK(out_deg.rows() == pattern.rows && out_deg.cols() == k);
-  const int64_t n = pattern.rows;
-  // Per-column d̃^{-1/2}, matching NormDinv column by column: ascending-e row
-  // sums, out_deg added last, std::pow(·, -0.5).
-  Tensor dinv(n, k);
-  const double* GEA_RESTRICT v = values.data().data();
-  const double* GEA_RESTRICT od = out_deg.data().data();
-  double* GEA_RESTRICT s = dinv.mutable_data().data();
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t t = 0; t < k; ++t) {
-      double d = 0.0;
-      for (int64_t e = pattern.row_ptr[ZU(i)];
-           e < pattern.row_ptr[ZU(i + 1)]; ++e)
-        d += v[e * k + t];
-      d += od[i * k + t];
-      s[i * k + t] = std::pow(d, -0.5);
-    }
-  }
-  Tensor out(pattern.nnz(), k);
-  const int64_t* GEA_RESTRICT col = pattern.col_idx.data();
-  double* GEA_RESTRICT o = out.mutable_data().data();
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int64_t i = 0; i < pattern.rows; ++i) {
-    const double* GEA_RESTRICT si = s + i * k;
-    for (int64_t e = pattern.row_ptr[ZU(i)]; e < pattern.row_ptr[ZU(i + 1)];
-         ++e) {
-      const double* GEA_RESTRICT sc = s + col[e] * k;
-      for (int64_t t = 0; t < k; ++t)
-        o[e * k + t] = (v[e * k + t] * si[t]) * sc[t];
-    }
   }
   return out;
 }

@@ -92,38 +92,6 @@ Tensor GcnNormValuesRaw(const CsrPattern& pattern,
                         const std::vector<double>& values,
                         const double* out_deg);
 
-/// Column-stacked SpMM over one shared pattern — the wide-RHS kernel of the
-/// batched multi-target attack path.  `values` holds k value columns
-/// ((nnz, k), row-major): k sparse matrices sharing one sparsity structure.
-/// `dense` holds k dense blocks side by side (cols = k·b), and block t of
-/// the output is A(values[:,t]) · dense[:, t·b:(t+1)·b].  One pass over the
-/// pattern serves every block, so row_ptr/col_idx traffic is paid once for
-/// k products and the (k·b)-wide output row stays hot while dense rows
-/// stream through.  Each output element accumulates its products in
-/// ascending-e order exactly like SpmmRaw, so every block is bit-identical
-/// to the corresponding narrow SpmmRaw call.
-Tensor SpmmStackedRaw(const CsrPattern& pattern, const Tensor& values,
-                      const Tensor& dense);
-
-/// Column-stacked twin of the SpmmValueGrad kernel: with g and b both
-/// (rows, k·m) block matrices, returns the (nnz, k) per-entry gradients
-/// out[e][t] = Σ_j g[r_e, t·m+j] · b[c_e, t·m+j] — block t bit-identical to
-/// SpmmValueGrad over g/b's t-th blocks.  `mask` (nullable, nnz·k in the
-/// values layout) restricts the computation: entries with mask == 0 are
-/// written as 0.0 without evaluating the dot product — the per-target
-/// slot-ownership masking of the batched attack path (a target's gradient
-/// is only ever read at its own slots).
-Tensor SpmmValueGradStackedRaw(const CsrPattern& pattern, const Tensor& g,
-                               const Tensor& b, int64_t k,
-                               const double* mask = nullptr);
-
-/// Column-stacked GcnNormValuesRaw: normalizes each of the k value columns
-/// independently with its own out-degree column (out_deg is (rows, k)).
-/// Column t is bit-identical to GcnNormValuesRaw(pattern, values[:,t],
-/// out_deg[:,t]).
-Tensor GcnNormValuesStackedRaw(const CsrPattern& pattern, const Tensor& values,
-                               const Tensor& out_deg);
-
 /// Fused GCN-normalize + SpMM kernel over a square pattern:
 ///   d̃_i = Σ_{e ∈ row i} v_e + out_deg_i,   Ã_e = v_e·d̃^{-1/2}[r_e]·d̃^{-1/2}[c_e],
 ///   out  = Ã·dense,

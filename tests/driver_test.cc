@@ -1,10 +1,8 @@
 // Determinism tests for the multi-target thread-pool driver: for every
 // attacker, the parallel edge picks must be bit-identical to the serial
-// (num_threads = 1, batch_targets = 1) reference at 2/4/8 workers AND at
-// target-group sizes 1/2/4 — the per-target RNG streams, the
-// reassociation-free kernels, and the value-level target isolation of the
-// stacked batched path make both scheduling and grouping invisible.  Also
-// pins the schedule itself: workers take targets in caller order.
+// (num_threads = 1) reference at 2/4/8 workers — the per-target RNG streams
+// and the reassociation-free kernels make scheduling invisible.  Also pins
+// the schedule itself: workers take targets in caller order.
 
 #include <condition_variable>
 #include <memory>
@@ -79,25 +77,19 @@ void ExpectIdenticalAcrossThreadCounts(const TargetedAttack& attack,
   const std::vector<AttackResult> serial =
       RunMultiTargetAttack(f->ctx, attack, f->requests, serial_config);
   for (int threads : {2, 4, 8}) {
-    for (int batch : {1, 2, 4}) {
-      AttackDriverConfig config;
-      config.num_threads = threads;
-      config.base_seed = seed;
-      config.batch_targets = batch;
-      const std::vector<AttackResult> parallel =
-          RunMultiTargetAttack(f->ctx, attack, f->requests, config);
-      ASSERT_EQ(parallel.size(), serial.size())
-          << "threads=" << threads << " batch=" << batch;
-      for (size_t i = 0; i < serial.size(); ++i) {
-        ASSERT_EQ(parallel[i].added_edges.size(),
-                  serial[i].added_edges.size())
-            << attack.name() << " target " << i << " threads=" << threads
-            << " batch=" << batch;
-        for (size_t e = 0; e < serial[i].added_edges.size(); ++e)
-          EXPECT_EQ(parallel[i].added_edges[e], serial[i].added_edges[e])
-              << attack.name() << " target " << i << " edge " << e
-              << " threads=" << threads << " batch=" << batch;
-      }
+    AttackDriverConfig config;
+    config.num_threads = threads;
+    config.base_seed = seed;
+    const std::vector<AttackResult> parallel =
+        RunMultiTargetAttack(f->ctx, attack, f->requests, config);
+    ASSERT_EQ(parallel.size(), serial.size()) << "threads=" << threads;
+    for (size_t i = 0; i < serial.size(); ++i) {
+      ASSERT_EQ(parallel[i].added_edges.size(), serial[i].added_edges.size())
+          << attack.name() << " target " << i << " threads=" << threads;
+      for (size_t e = 0; e < serial[i].added_edges.size(); ++e)
+        EXPECT_EQ(parallel[i].added_edges[e], serial[i].added_edges[e])
+            << attack.name() << " target " << i << " edge " << e
+            << " threads=" << threads;
     }
   }
 }
@@ -156,9 +148,9 @@ TEST(DriverTest, TargetSeedStreamsAreDistinct) {
 }
 
 TEST(DriverTest, EvaluateAttackThreadedMatchesSerialDriver) {
-  // The pipeline wiring: attack_threads = 1 (serial driver),
-  // attack_threads = 4, and attack_threads = 4 with target batching must
-  // all produce the same outcome numbers from the same caller seed.
+  // The pipeline wiring: attack_threads = 1 (serial driver) and
+  // attack_threads = 4 must produce the same outcome numbers from the same
+  // caller seed.
   Fixture* f = SharedFixture();
   GnnExplainerConfig icfg;
   icfg.epochs = 10;
@@ -169,16 +161,12 @@ TEST(DriverTest, EvaluateAttackThreadedMatchesSerialDriver) {
   serial_cfg.attack_threads = 1;
   EvalConfig threaded_cfg = serial_cfg;
   threaded_cfg.attack_threads = 4;
-  EvalConfig batched_cfg = threaded_cfg;
-  batched_cfg.batch_targets = 4;
 
-  Rng r1(42), r2(42), r3(42);
+  Rng r1(42), r2(42);
   const JointAttackOutcome a = EvaluateAttack(f->ctx, attack, f->targets,
                                               inspector, serial_cfg, &r1);
   const JointAttackOutcome b = EvaluateAttack(f->ctx, attack, f->targets,
                                               inspector, threaded_cfg, &r2);
-  const JointAttackOutcome c = EvaluateAttack(f->ctx, attack, f->targets,
-                                              inspector, batched_cfg, &r3);
   EXPECT_EQ(a.num_targets, b.num_targets);
   EXPECT_EQ(a.asr, b.asr);
   EXPECT_EQ(a.asr_t, b.asr_t);
@@ -186,13 +174,6 @@ TEST(DriverTest, EvaluateAttackThreadedMatchesSerialDriver) {
   EXPECT_EQ(a.detection.recall, b.detection.recall);
   EXPECT_EQ(a.detection.f1, b.detection.f1);
   EXPECT_EQ(a.detection.ndcg, b.detection.ndcg);
-  EXPECT_EQ(a.num_targets, c.num_targets);
-  EXPECT_EQ(a.asr, c.asr);
-  EXPECT_EQ(a.asr_t, c.asr_t);
-  EXPECT_EQ(a.detection.precision, c.detection.precision);
-  EXPECT_EQ(a.detection.recall, c.detection.recall);
-  EXPECT_EQ(a.detection.f1, c.detection.f1);
-  EXPECT_EQ(a.detection.ndcg, c.detection.ndcg);
 }
 
 // Holds request 0 until the other requests have all run, and records the

@@ -1,8 +1,8 @@
 // Fault-containment tests: a poisoned target (throw / NaN / stall) must
 // fail alone — every other target's picks stay bit-identical to a run
-// without the fault, at any thread count and batch grouping; deadlines are
-// honored cooperatively; a killed journaled run resumes to byte-identical
-// results; malformed input files come back as structured load errors.
+// without the fault, at any thread count; deadlines are honored
+// cooperatively; a killed journaled run resumes to byte-identical results;
+// malformed input files come back as structured load errors.
 
 #include <algorithm>
 #include <cstdio>
@@ -90,26 +90,22 @@ void ExpectPoisonedTargetIsolated(FaultKind kind) {
   FaultInjectingAttack faulty(&inner);
   faulty.InjectAt(f->requests[poisoned].target_node, {kind, 0.0});
   for (int threads : {1, 2, 4}) {
-    for (int batch : {1, 2}) {
-      AttackDriverConfig config;
-      config.base_seed = 21;
-      config.num_threads = threads;
-      config.batch_targets = batch;
-      const std::vector<AttackResult> results =
-          RunMultiTargetAttack(f->ctx, faulty, f->requests, config);
-      ASSERT_EQ(results.size(), baseline.size());
-      for (size_t i = 0; i < results.size(); ++i) {
-        const std::string where = "threads=" + std::to_string(threads) +
-                                  " batch=" + std::to_string(batch) +
-                                  " target " + std::to_string(i);
-        if (i == poisoned) {
-          EXPECT_EQ(results[i].status.code(), StatusCode::kError) << where;
-          EXPECT_TRUE(results[i].added_edges.empty()) << where;
-        } else {
-          EXPECT_TRUE(results[i].status.ok())
-              << where << ": " << results[i].status.ToString();
-          ExpectSameEdges(results[i], baseline[i], where);
-        }
+    AttackDriverConfig config;
+    config.base_seed = 21;
+    config.num_threads = threads;
+    const std::vector<AttackResult> results =
+        RunMultiTargetAttack(f->ctx, faulty, f->requests, config);
+    ASSERT_EQ(results.size(), baseline.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+      const std::string where = "threads=" + std::to_string(threads) +
+                                " target " + std::to_string(i);
+      if (i == poisoned) {
+        EXPECT_EQ(results[i].status.code(), StatusCode::kError) << where;
+        EXPECT_TRUE(results[i].added_edges.empty()) << where;
+      } else {
+        EXPECT_TRUE(results[i].status.ok())
+            << where << ": " << results[i].status.ToString();
+        ExpectSameEdges(results[i], baseline[i], where);
       }
     }
   }
@@ -259,7 +255,7 @@ TEST(DeadlineTest, PreExpiredCallerTokenSkipsBeforeAnyStreamIsConsumed) {
   // is doomed: running it would burn compute just to throw the result away.
   // The driver hands it back kSkipped *before* constructing its Rng or
   // calling the attack — so a doomed request never perturbs a survivor, at
-  // any thread count and batch grouping.
+  // any thread count.
   Fixture* f = SharedFixture();
   ASSERT_GE(f->requests.size(), 3u);
   const FgaAttack inner(/*targeted=*/true);
@@ -274,31 +270,27 @@ TEST(DeadlineTest, PreExpiredCallerTokenSkipsBeforeAnyStreamIsConsumed) {
   std::vector<AttackRequest> requests = f->requests;
   requests[doomed].cancel = &cancelled;
   for (int threads : {1, 2, 4}) {
-    for (int batch : {1, 2}) {
-      AttackDriverConfig config;
-      config.base_seed = 57;
-      config.num_threads = threads;
-      config.batch_targets = batch;
-      FaultInjectingAttack counted(&inner);
-      const std::vector<AttackResult> results =
-          RunMultiTargetAttack(f->ctx, counted, requests, config);
-      const std::string at = "threads=" + std::to_string(threads) +
-                             " batch=" + std::to_string(batch);
-      // Never attempted: the attack itself was not even called for it.
-      EXPECT_EQ(counted.attack_calls(),
-                static_cast<int64_t>(requests.size()) - 1)
-          << at;
-      ASSERT_EQ(results.size(), baseline.size());
-      for (size_t i = 0; i < results.size(); ++i) {
-        const std::string where = at + " target " + std::to_string(i);
-        if (i == doomed) {
-          EXPECT_EQ(results[i].status.code(), StatusCode::kSkipped) << where;
-          EXPECT_TRUE(results[i].added_edges.empty()) << where;
-        } else {
-          EXPECT_TRUE(results[i].status.ok())
-              << where << ": " << results[i].status.ToString();
-          ExpectSameEdges(results[i], baseline[i], where);
-        }
+    AttackDriverConfig config;
+    config.base_seed = 57;
+    config.num_threads = threads;
+    FaultInjectingAttack counted(&inner);
+    const std::vector<AttackResult> results =
+        RunMultiTargetAttack(f->ctx, counted, requests, config);
+    const std::string at = "threads=" + std::to_string(threads);
+    // Never attempted: the attack itself was not even called for it.
+    EXPECT_EQ(counted.attack_calls(),
+              static_cast<int64_t>(requests.size()) - 1)
+        << at;
+    ASSERT_EQ(results.size(), baseline.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+      const std::string where = at + " target " + std::to_string(i);
+      if (i == doomed) {
+        EXPECT_EQ(results[i].status.code(), StatusCode::kSkipped) << where;
+        EXPECT_TRUE(results[i].added_edges.empty()) << where;
+      } else {
+        EXPECT_TRUE(results[i].status.ok())
+            << where << ": " << results[i].status.ToString();
+        ExpectSameEdges(results[i], baseline[i], where);
       }
     }
   }
@@ -414,6 +406,48 @@ TEST(JournalTest, JournaledFailureReplaysWithoutRecomputing) {
       RunMultiTargetAttack(f->ctx, clean, f->requests, reseeded);
   EXPECT_EQ(clean.attack_calls(), static_cast<int64_t>(f->requests.size()));
   EXPECT_TRUE(third[poisoned].status.ok());
+  std::remove(path.c_str());
+}
+
+TEST(JournalTest, CallerSkippedTargetIsNotJournaledAndResumeAttacksIt) {
+  // A target skipped because its caller token had expired computed
+  // nothing, so the journal must not record it: a resumed run without the
+  // token attacks it, and the merged results equal an uninterrupted run's.
+  Fixture* f = SharedFixture();
+  ASSERT_GE(f->requests.size(), 3u);
+  const std::string path =
+      testing::TempDir() + "geattack_fault_journal_skip.txt";
+  std::remove(path.c_str());
+  const FgaAttack inner(/*targeted=*/true);
+  const size_t doomed = f->requests.size() / 2;
+
+  AttackDriverConfig config;
+  config.base_seed = 81;
+  config.num_threads = 2;
+  const std::vector<AttackResult> uninterrupted =
+      RunMultiTargetAttack(f->ctx, inner, f->requests, config);
+
+  CancellationToken cancelled;
+  cancelled.Cancel();
+  std::vector<AttackRequest> requests = f->requests;
+  requests[doomed].cancel = &cancelled;
+  config.journal_path = path;
+  const std::vector<AttackResult> first =
+      RunMultiTargetAttack(f->ctx, inner, requests, config);
+  ASSERT_EQ(first[doomed].status.code(), StatusCode::kSkipped);
+
+  const JournalLoadResult journal = LoadAttackJournal(
+      path, config.base_seed, static_cast<int64_t>(requests.size()));
+  ASSERT_TRUE(journal.status.ok()) << journal.status.ToString();
+  EXPECT_EQ(journal.records.size(), requests.size() - 1);
+  for (const JournalRecord& record : journal.records)
+    EXPECT_NE(record.request_index, static_cast<int64_t>(doomed));
+
+  FaultInjectingAttack resumed_run(&inner);
+  const std::vector<AttackResult> resumed =
+      RunMultiTargetAttack(f->ctx, resumed_run, f->requests, config);
+  ASSERT_EQ(resumed_run.attack_calls(), 1);
+  ExpectSameResults(resumed, uninterrupted);
   std::remove(path.c_str());
 }
 

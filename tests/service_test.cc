@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdint>
 #include <latch>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -344,6 +345,23 @@ TEST(ServiceAdmissionTest, StructuredRejectionsAndUnknownTickets) {
   bad_label.target_label = -5;
   EXPECT_EQ(service.Submit(bad_label).status.code(),
             StatusCode::kInvalidArgument);
+  // One past the last class: the driver would reject it, so admission
+  // does too instead of spending a ticket and an accepted_index on it.
+  bad_label.target_label = f->data.num_classes;
+  const Admission past_classes = service.Submit(bad_label);
+  EXPECT_EQ(past_classes.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(past_classes.ticket, -1);
+
+  // Deadlines that cannot be armed on the steady clock: NaN, +inf, and a
+  // finite offset past the clock's range.
+  for (const double ms : {std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN(), 1e13}) {
+    AttackServiceRequest bad_deadline = base;
+    bad_deadline.deadline_ms = ms;
+    const Admission rejected = service.Submit(bad_deadline);
+    EXPECT_EQ(rejected.status.code(), StatusCode::kInvalidArgument) << ms;
+    EXPECT_EQ(rejected.ticket, -1) << ms;
+  }
 
   // A deadline below the feasibility floor is rejected up front, with the
   // overload code — it could never finish, so queueing it would only steal
@@ -360,9 +378,9 @@ TEST(ServiceAdmissionTest, StructuredRejectionsAndUnknownTickets) {
   ASSERT_TRUE(ok.status.ok()) << ok.status.ToString();
 
   const ServiceStats st = service.stats();
-  EXPECT_EQ(st.submitted, 7);
+  EXPECT_EQ(st.submitted, 11);
   EXPECT_EQ(st.accepted, 1);
-  EXPECT_EQ(st.rejected_invalid, 5);  // kNotFound + 4 validation rejects.
+  EXPECT_EQ(st.rejected_invalid, 9);  // kNotFound + 8 validation rejects.
   EXPECT_EQ(st.rejected_infeasible, 1);
 
   // Rejections issue no ticket, and unknown tickets are structured too.
@@ -372,6 +390,8 @@ TEST(ServiceAdmissionTest, StructuredRejectionsAndUnknownTickets) {
   service.Drain();
   const ServiceResult taken = service.Take(ok.ticket);
   EXPECT_TRUE(taken.result.status.ok()) << taken.result.status.ToString();
+  // No rejection consumed an accepted_index (the rng stream key).
+  EXPECT_EQ(taken.accepted_index, 0);
   // A ticket is consumable exactly once.
   EXPECT_EQ(service.Take(ok.ticket).result.status.code(),
             StatusCode::kNotFound);

@@ -499,33 +499,19 @@ TEST(DensePerturbedAdjacencyTest, AttackersReturnCleanPlusPicks) {
   const IgAttack ig(ig_config);
   for (const TargetedAttack* attack :
        std::vector<const TargetedAttack*>{&fga_t, &geattack, &ig}) {
-    std::vector<Rng> streams;
-    streams.reserve(requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) streams.emplace_back(40 + i);
-    std::vector<Rng*> rngs;
-    rngs.reserve(streams.size());
-    for (Rng& r : streams) rngs.push_back(&r);
-    std::vector<AttackResult> single;
-    for (size_t i = 0; i < requests.size(); ++i) {
-      Rng rng(40 + i);
-      single.push_back(attack->Attack(ctx, requests[i], &rng));
-    }
-    const std::vector<AttackResult> batched =
-        attack->AttackBatch(ctx, requests, rngs);
-    ASSERT_EQ(batched.size(), requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {
       const std::string where =
           attack->name() + " request " + std::to_string(i);
-      EXPECT_FALSE(single[i].added_edges.empty()) << where;
-      EXPECT_EQ(single[i].added_edges, batched[i].added_edges) << where;
-      const Tensor want = DenseOfPerturbedGraph(f->data.graph,
-                                                single[i].added_edges);
+      Rng rng(40 + i);
+      const AttackResult single = attack->Attack(ctx, requests[i], &rng);
+      EXPECT_FALSE(single.added_edges.empty()) << where;
+      const Tensor want =
+          DenseOfPerturbedGraph(f->data.graph, single.added_edges);
       Tensor clean_plus_picks = ctx.clean_adjacency;
-      for (const Edge& e : single[i].added_edges)
+      for (const Edge& e : single.added_edges)
         AddEdgeDense(&clean_plus_picks, e.u, e.v);
       ExpectSameTensor(clean_plus_picks, want, where + " clean + picks");
-      ExpectSameTensor(single[i].adjacency, want, where + " Attack");
-      ExpectSameTensor(batched[i].adjacency, want, where + " AttackBatch");
+      ExpectSameTensor(single.adjacency, want, where + " Attack");
     }
   }
 }

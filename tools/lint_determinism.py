@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Determinism / thread-safety lint for the GEAttack tree.
 
-The whole system rests on one invariant: sparse, threaded, and batched attack
-paths produce bit-identical edge picks to the serial reference, including
-through second-order hypergradients.  Runtime suites (driver_test,
-batched_forward_test, sparse_attack_test) verify the invariant; this checker
+The whole system rests on one invariant: sparse and threaded attack paths
+produce bit-identical edge picks to the serial reference, including through
+second-order hypergradients.  Runtime suites (driver_test,
+sparse_attack_test) verify the invariant; this checker
 stops the cheapest ways of breaking it from entering the tree at all:
 
   banned-rng            std::rand / srand / std::random_device / raw
