@@ -1,14 +1,13 @@
-// End-to-end attack-loop benchmark: dense n x n relaxation vs. the sparse
-// candidate-edge path, per-target, for GEAttack (bilevel, hypergradient)
-// and FGA-T (single-level gradient).  This is the perf-trajectory point for
-// the attack stack, complementing bench_micro's kernel-level numbers.
+// End-to-end attack-loop benchmark: per-target latency of GEAttack
+// (bilevel, hypergradient) and FGA-T (single-level gradient) on their
+// candidate-edge bodies.  This is the perf-trajectory point for the attack
+// stack, complementing bench_micro's kernel-level numbers.  Every scenario
+// is a sparse-only context.
 //
 //   ./bench_attack                 full harness; writes BENCH_attack.json
 //                                  (override: --json=PATH).  Sizes
-//                                  n ∈ {1k, 5k, 20k}; the 20k scenario
-//                                  (override: GEATTACK_BENCH_ATTACK_LARGE_N)
-//                                  is sparse-only — the dense bilevel loop
-//                                  cannot even allocate there.
+//                                  n ∈ {1k, 5k, 20k}; the 20k size is
+//                                  GEATTACK_BENCH_ATTACK_LARGE_N.
 //   ./bench_attack --quick         CI-sized sizes (n ∈ {300, 800}), small
 //                                  budgets; same JSON schema.
 //
@@ -24,16 +23,14 @@
 // THREADS workers (default 4), with a hard gate that the parallel edge
 // picks are identical to the serial ones.
 //
-// Both modes end with a dense-vs-sparse equivalence gate at the smallest
-// size: FGA-T and GEAttack (mask_init_scale = 0) must each pick identical
-// edges or reach the same final attack loss within 1e-6 (the loss fallback
-// tolerates compiler-dependent roundoff flipping a near-tied argmin; the
-// unit tests additionally pin identical picks on fixed seeds).  The process
-// exits nonzero if either gate fails, so CI catches drift.
+// The smallest size also runs the fault-containment, service-overload and
+// live-churn gates below.  `equivalence_gate` in the JSON is the verdict of
+// every gate; the process exits nonzero if any fails, so CI catches drift.
+// Dense-vs-sparse pick equivalence on the smallest quick scenario is the
+// ctest case SparseAttackEquivalenceTest.QuickBenchScenarioPicksIdenticalEdges
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -69,14 +66,13 @@ double NowMs() {
 struct Scenario {
   GraphData data;
   Gcn model;
-  AttackContext ctx;        // Dense + sparse, or sparse-only when large.
+  AttackContext ctx;        // Sparse-only.
   PreparedTarget target;    // First prepared target (single-target rows).
   std::vector<PreparedTarget> targets;  // Multi-target throughput pool.
-  bool dense_ok = false;
 };
 
-Scenario MakeScenario(int64_t n, bool dense_ok, int64_t feature_dim,
-                      int64_t budget_cap, int64_t num_targets) {
+Scenario MakeScenario(int64_t n, int64_t feature_dim, int64_t budget_cap,
+                      int64_t num_targets) {
   Rng rng(9000 + static_cast<uint64_t>(n));
   CitationGraphConfig cfg;
   cfg.num_nodes = n;
@@ -87,15 +83,13 @@ Scenario MakeScenario(int64_t n, bool dense_ok, int64_t feature_dim,
              Gcn({feature_dim, 16, 5}, &rng),
              AttackContext{},
              PreparedTarget{},
-             {},
-             dense_ok};
+             {}};
   Split split = MakeSplit(s.data, 0.1, 0.1, &rng);
   TrainConfig tc;
   tc.epochs = n >= 10000 ? 3 : (n >= 2000 ? 8 : 20);
   tc.patience = 0;
   s.model = TrainNewGcn(s.data, split, tc, &rng);
-  s.ctx = dense_ok ? MakeAttackContext(s.data, s.model)
-                   : MakeSparseAttackContext(s.data, s.model);
+  s.ctx = MakeSparseAttackContext(s.data, s.model);
 
   // Targets: correctly-classified test nodes of degree >= 2 that the
   // untargeted FGA probe can flip (the paper's target-label protocol).
@@ -114,27 +108,21 @@ Scenario MakeScenario(int64_t n, bool dense_ok, int64_t feature_dim,
   return s;
 }
 
-struct TimedRun {
-  double ms = -1.0;  // < 0: skipped (dense infeasible at this size).
-  AttackResult result;
-};
-
-/// Best-of-`reps` timing (identical results each rep — attacks are
-/// deterministic given the seed).  The cheap sparse configurations use
-/// reps > 1 to shave scheduler noise; the dense references stay at 1 rep
-/// because a single run already takes minutes.
-TimedRun TimeAttack(const Scenario& s, const TargetedAttack& attack,
-                    uint64_t seed, int reps = 1) {
-  TimedRun run;
+/// Best-of-`reps` per-target milliseconds (identical results each rep —
+/// attacks are deterministic given the seed); reps > 1 shave scheduler
+/// noise.
+double TimeAttack(const Scenario& s, const TargetedAttack& attack,
+                  uint64_t seed, int reps) {
+  double best = -1.0;
   AttackRequest req{s.target.node, s.target.target_label, s.target.budget};
   for (int r = 0; r < reps; ++r) {
     Rng rng(seed);
     const double t0 = NowMs();
-    run.result = attack.Attack(s.ctx, req, &rng);
+    attack.Attack(s.ctx, req, &rng);
     const double elapsed = NowMs() - t0;
-    if (r == 0 || elapsed < run.ms) run.ms = elapsed;
+    if (r == 0 || elapsed < best) best = elapsed;
   }
-  return run;
+  return best;
 }
 
 struct Row {
@@ -142,15 +130,7 @@ struct Row {
   int64_t edges = 0;
   int64_t budget = 0;
   int64_t inner_steps = 0;  // 0 for FGA.
-  double dense_ms = -1.0;
   double sparse_ms = 0.0;
-};
-
-struct EquivalenceRow {
-  int64_t n = 0;
-  std::string attack;
-  bool identical_edges = false;
-  double loss_delta = 0.0;
 };
 
 struct MultiTargetRow {
@@ -185,20 +165,6 @@ int64_t CountStatus(const std::vector<AttackResult>& results,
   return count;
 }
 
-/// -log softmax[target_label] of the post-attack victim via the sparse
-/// incremental eval path.
-double FinalAttackLoss(const Scenario& s, const AttackResult& result) {
-  const Tensor logits = PerturbedLogits(s.ctx, result, /*sparse=*/true);
-  const int64_t v = s.target.node;
-  double maxv = logits.at(v, 0);
-  for (int64_t c = 1; c < logits.cols(); ++c)
-    maxv = std::max(maxv, logits.at(v, c));
-  double denom = 0.0;
-  for (int64_t c = 0; c < logits.cols(); ++c)
-    denom += std::exp(logits.at(v, c) - maxv);
-  return -(logits.at(v, s.target.target_label) - maxv - std::log(denom));
-}
-
 bool SameEdges(const AttackResult& a, const AttackResult& b) {
   if (a.added_edges.size() != b.added_edges.size()) return false;
   for (size_t i = 0; i < a.added_edges.size(); ++i)
@@ -222,14 +188,8 @@ void WriteRows(std::ostream& os, const std::vector<Row>& rows,
     os << "    {\"n\":" << r.n << ",\"edges\":" << r.edges
        << ",\"budget\":" << r.budget;
     if (with_inner) os << ",\"inner_steps\":" << r.inner_steps;
-    os << ",";
-    WriteNullableMs(os, "dense_ms", r.dense_ms);
-    os << ",\"sparse_ms\":" << r.sparse_ms << ",";
-    WriteNullableMs(os, "speedup",
-                    r.dense_ms < 0.0 || r.sparse_ms <= 0.0
-                        ? -1.0
-                        : r.dense_ms / r.sparse_ms);
-    os << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+    os << ",\"sparse_ms\":" << r.sparse_ms << "}"
+       << (i + 1 < rows.size() ? "," : "") << "\n";
   }
 }
 
@@ -292,7 +252,7 @@ ServiceSection RunServiceSection(const Scenario& s, bool quick) {
   section.n = s.data.num_nodes();
   section.queue_capacity = 8;
   section.shed_watermark = 6;
-  const FgaAttack attack(/*targeted=*/true, /*use_sparse=*/true);
+  const FgaAttack attack(/*targeted=*/true);
   const uint64_t base_seed = 7100;
   const int service_threads = 2;
 
@@ -329,8 +289,7 @@ ServiceSection RunServiceSection(const Scenario& s, bool quick) {
                   .RegisterGraph("bench", s.data, s.model,
                                  std::shared_ptr<const TargetedAttack>(
                                      std::shared_ptr<const TargetedAttack>(),
-                                     &attack),
-                                 s.dense_ok)
+                                     &attack))
                   .ok());
 
     ServiceRow row;
@@ -439,8 +398,8 @@ ServiceSection RunServiceSection(const Scenario& s, bool quick) {
 //
 //   1. Maintenance micro: building epoch k+1 from epoch k via ApplyChurn
 //      (incremental CSR flip + exact GcnRenormalizeAfterFlips) vs building
-//      the same context from scratch, with a bit-equality gate between the
-//      two — the incremental path must be faster AND byte-identical.
+//      the same sparse-only context from scratch, with a bit-equality gate
+//      between the two — the incremental path must be byte-identical.
 //   2. Service under churn: submissions interleaved with UpdateGraph
 //      batches; every completed result is replayed offline on a fresh
 //      context built for ITS recorded epoch and must match bit-for-bit
@@ -455,7 +414,7 @@ struct ChurnSection {
   int64_t rounds = 0;
   int64_t ball_hops = -1;        // Invalidation radius (-1 = bump all).
   double incremental_ms = 0.0;   // Sum of ApplyChurn epoch builds.
-  double full_rebuild_ms = 0.0;  // Sum of from-scratch context builds.
+  double full_rebuild_ms = 0.0;  // Sum of from-scratch sparse builds.
   double speedup = 0.0;
   int64_t epochs = 0;
   int64_t bumped_targets = 0;  // Queued requests re-pinned across the run.
@@ -496,7 +455,7 @@ ChurnSection RunChurnSection(const Scenario& s, bool quick) {
   sec.n = s.data.num_nodes();
   sec.batch_edges = quick ? 8 : 16;
   sec.rounds = quick ? 3 : 6;
-  const FgaAttack attack(/*targeted=*/true, /*use_sparse=*/true);
+  const FgaAttack attack(/*targeted=*/true);
   const uint64_t base_seed = 7300;
 
   const std::vector<ChurnBatch> plan =
@@ -510,18 +469,12 @@ ChurnSection RunChurnSection(const Scenario& s, bool quick) {
     for (const ChurnEdge& e : batch.added) next.graph.AddEdge(e.u, e.v);
     epoch_data.push_back(std::move(next));
   }
-  const auto fresh_ctx = [&](int64_t epoch) {
-    return s.dense_ok
-               ? MakeAttackContext(epoch_data[ZU(epoch)], s.model)
-               : MakeSparseAttackContext(epoch_data[ZU(epoch)], s.model);
-  };
 
   // ----- Maintenance micro: incremental epoch vs from-scratch rebuild. ----
   auto snap = MakeGraphSnapshot(
       "bench", s.data, s.model,
       std::shared_ptr<const TargetedAttack>(
-          std::shared_ptr<const TargetedAttack>(), &attack),
-      s.dense_ok);
+          std::shared_ptr<const TargetedAttack>(), &attack));
   for (int64_t r = 0; r < sec.rounds; ++r) {
     double t0 = NowMs();
     snap = ApplyChurn(snap, plan[ZU(r)]);
@@ -535,9 +488,7 @@ ChurnSection RunChurnSection(const Scenario& s, bool quick) {
       rebuilt.graph.AddEdge(e.u, e.v);
     for (const ChurnEdge& e : plan[ZU(r)].removed)
       rebuilt.graph.RemoveEdge(e.u, e.v);
-    const AttackContext fresh =
-        s.dense_ok ? MakeAttackContext(rebuilt, s.model)
-                   : MakeSparseAttackContext(rebuilt, s.model);
+    const AttackContext fresh = MakeSparseAttackContext(rebuilt, s.model);
     sec.full_rebuild_ms += NowMs() - t0;
     // The maintenance contract, re-checked at bench scale: the incremental
     // epoch is bit-identical to the fresh build (values AND structure).
@@ -564,8 +515,7 @@ ChurnSection RunChurnSection(const Scenario& s, bool quick) {
                 .RegisterGraph("bench", s.data, s.model,
                                std::shared_ptr<const TargetedAttack>(
                                    std::shared_ptr<const TargetedAttack>(),
-                                   &attack),
-                               s.dense_ok)
+                                   &attack))
                 .ok());
 
   const int64_t per_round = quick ? 4 : 8;
@@ -601,7 +551,10 @@ ChurnSection RunChurnSection(const Scenario& s, bool quick) {
     ++sec.completed;
     auto it = epoch_ctx.find(r.epoch);
     if (it == epoch_ctx.end())
-      it = epoch_ctx.emplace(r.epoch, fresh_ctx(r.epoch)).first;
+      it = epoch_ctx
+               .emplace(r.epoch, MakeSparseAttackContext(
+                                     epoch_data[ZU(r.epoch)], s.model))
+               .first;
     // Replay the recorded final-attempt seed on a fresh context built for
     // the result's epoch: picks must match bit-for-bit.
     AttackDriverConfig replay_cfg;
@@ -633,11 +586,11 @@ ChurnSection RunChurnSection(const Scenario& s, bool quick) {
 
 int RunCrashChild(const std::string& journal_path,
                   const std::string& out_path, uint64_t seed) {
-  Scenario s = MakeScenario(160, /*dense_ok=*/false, /*feature_dim=*/32,
-                            /*budget_cap=*/2, /*num_targets=*/6);
+  Scenario s = MakeScenario(160, /*feature_dim=*/32, /*budget_cap=*/2,
+                            /*num_targets=*/6);
   GEA_CHECK(s.targets.size() >= 4);
   const size_t num_targets = s.targets.size();
-  const FgaAttack attack(/*targeted=*/true, /*use_sparse=*/true);
+  const FgaAttack attack(/*targeted=*/true);
 
   AttackServiceConfig cfg;
   cfg.base_seed = seed;
@@ -652,8 +605,7 @@ int RunCrashChild(const std::string& journal_path,
                 .RegisterGraph("g", s.data, s.model,
                                std::shared_ptr<const TargetedAttack>(
                                    std::shared_ptr<const TargetedAttack>(),
-                                   &attack),
-                               /*dense_context=*/false)
+                                   &attack))
                 .ok());
   const RecoveryReport rep = service.Recover();
   GEA_CHECK(rep.status.ok());
@@ -828,7 +780,6 @@ ScalingRow RunScalingRow(int64_t n, bool quick, bool io_round_trip) {
 
     GeAttackConfig ge;
     ge.inner_steps = 2;
-    ge.use_sparse = true;
     AttackRequest req{target.node, target.target_label, target.budget};
     Rng attack_rng(4242);
     t0 = NowMs();
@@ -875,9 +826,6 @@ int RunHarness(const std::string& json_path, bool quick) {
   const std::vector<int64_t> sizes =
       quick ? std::vector<int64_t>{300, 800}
             : std::vector<int64_t>{1000, 5000, large_n};
-  // Beyond this the dense bilevel loop's live autodiff graph (hundreds of
-  // n x n tensors under create_graph) stops fitting in memory.
-  const int64_t dense_max_n = quick ? 800 : 5000;
   const int64_t feature_dim = quick ? 64 : 128;
   const int64_t budget_cap = quick ? 2 : 3;
   const int64_t num_targets = quick ? 4 : 8;
@@ -887,7 +835,6 @@ int RunHarness(const std::string& json_path, bool quick) {
   }();
 
   std::vector<Row> geattack_rows, fga_rows;
-  std::vector<EquivalenceRow> equivalence;
   std::vector<MultiTargetRow> multi_rows;
   FaultRow fault_row;
   ServiceSection service_section;
@@ -895,10 +842,8 @@ int RunHarness(const std::string& json_path, bool quick) {
   bool gate_ok = true;
 
   for (int64_t n : sizes) {
-    const bool dense_ok = n <= dense_max_n;
     std::cerr << "[bench_attack] n=" << n << ": building scenario...\n";
-    Scenario s = MakeScenario(n, dense_ok, feature_dim, budget_cap,
-                              num_targets);
+    Scenario s = MakeScenario(n, feature_dim, budget_cap, num_targets);
     if (s.target.node < 0) {
       std::cerr << "[bench_attack] n=" << n << ": no flippable target\n";
       continue;
@@ -907,14 +852,9 @@ int RunHarness(const std::string& json_path, bool quick) {
               << s.target.node << " budget " << s.target.budget << "\n";
 
     GeAttackConfig ge;
-    // T = 5 is affordable everywhere on the sparse path; the dense bilevel
-    // graph at 5k only fits with a shallower inner loop, and the ratio is
-    // measured at identical configs.
+    // The inner-loop depth every recorded row used: T = 2 in quick mode and
+    // from 2k nodes, T = 5 below.
     ge.inner_steps = quick ? 2 : (n >= 2000 ? 2 : 5);
-    GeAttackConfig ge_sparse = ge;
-    ge_sparse.use_sparse = true;
-    GeAttackConfig ge_dense = ge;
-    ge_dense.use_sparse = false;
 
     Row grow;
     grow.n = s.data.num_nodes();
@@ -922,14 +862,9 @@ int RunHarness(const std::string& json_path, bool quick) {
     grow.budget = s.target.budget;
     grow.inner_steps = ge.inner_steps;
     const int sparse_reps = quick ? 2 : (n >= 10000 ? 2 : 3);
-    grow.sparse_ms = TimeAttack(s, GeAttack(ge_sparse), 101, sparse_reps).ms;
+    grow.sparse_ms = TimeAttack(s, GeAttack(ge), 101, sparse_reps);
     std::cerr << "[bench_attack] GEAttack sparse " << grow.sparse_ms
               << " ms/target\n";
-    if (dense_ok) {
-      grow.dense_ms = TimeAttack(s, GeAttack(ge_dense), 101).ms;
-      std::cerr << "[bench_attack] GEAttack dense " << grow.dense_ms
-                << " ms/target\n";
-    }
     geattack_rows.push_back(grow);
 
     Row frow;
@@ -937,22 +872,15 @@ int RunHarness(const std::string& json_path, bool quick) {
     frow.edges = grow.edges;
     frow.budget = grow.budget;
     frow.sparse_ms =
-        TimeAttack(s, FgaAttack(true, /*use_sparse=*/true), 102,
-                   sparse_reps).ms;
+        TimeAttack(s, FgaAttack(/*targeted=*/true), 102, sparse_reps);
     std::cerr << "[bench_attack] FGA-T sparse " << frow.sparse_ms
               << " ms/target\n";
-    if (dense_ok) {
-      frow.dense_ms =
-          TimeAttack(s, FgaAttack(true, /*use_sparse=*/false), 102).ms;
-      std::cerr << "[bench_attack] FGA-T dense " << frow.dense_ms
-                << " ms/target\n";
-    }
     fga_rows.push_back(frow);
 
     // ----- Multi-target throughput: serial driver vs thread pool, same
     // seeds, identical-picks gate. -----
     if (static_cast<int64_t>(s.targets.size()) >= 2) {
-      const GeAttack mt_attack(ge_sparse);
+      const GeAttack mt_attack(ge);
       std::vector<AttackRequest> requests;
       for (const PreparedTarget& t : s.targets)
         requests.push_back({t.node, t.target_label, t.budget});
@@ -1001,46 +929,11 @@ int RunHarness(const std::string& json_path, bool quick) {
       multi_rows.push_back(mrow);
     }
 
-    // ----- Equivalence gate at the smallest size. -----
-    if (n == sizes.front()) {
-      {
-        EquivalenceRow row;
-        row.n = grow.n;
-        row.attack = "FGA-T";
-        const TimedRun a = TimeAttack(s, FgaAttack(true, false), 103);
-        const TimedRun b = TimeAttack(s, FgaAttack(true, true), 103);
-        row.identical_edges = SameEdges(a.result, b.result);
-        row.loss_delta = std::abs(FinalAttackLoss(s, a.result) -
-                                  FinalAttackLoss(s, b.result));
-        gate_ok = gate_ok && (row.identical_edges || row.loss_delta < 1e-6);
-        equivalence.push_back(row);
-      }
-      {
-        EquivalenceRow row;
-        row.n = grow.n;
-        row.attack = "GEAttack";
-        GeAttackConfig eq = ge;
-        eq.mask_init_scale = 0.0;  // Both paths deterministic + comparable.
-        GeAttackConfig eq_sparse = eq;
-        eq_sparse.use_sparse = true;
-        eq.use_sparse = false;
-        const TimedRun a = TimeAttack(s, GeAttack(eq), 104);
-        const TimedRun b = TimeAttack(s, GeAttack(eq_sparse), 104);
-        row.identical_edges = SameEdges(a.result, b.result);
-        row.loss_delta = std::abs(FinalAttackLoss(s, a.result) -
-                                  FinalAttackLoss(s, b.result));
-        gate_ok = gate_ok && (row.identical_edges || row.loss_delta < 1e-6);
-        equivalence.push_back(row);
-      }
-      std::cerr << "[bench_attack] equivalence gate: "
-                << (gate_ok ? "PASS" : "FAIL") << "\n";
-    }
-
     // ----- Fault-containment gate at the smallest size: survivors of a
     // poisoned target and of a deadline-limited stall must keep the exact
     // fault-free picks (the driver's isolation contract, hard-gated). -----
     if (n == sizes.front() && s.targets.size() >= 2) {
-      const FgaAttack ft_attack(/*targeted=*/true, /*use_sparse=*/true);
+      const FgaAttack ft_attack(/*targeted=*/true);
       std::vector<AttackRequest> requests;
       for (const PreparedTarget& t : s.targets)
         requests.push_back({t.node, t.target_label, t.budget});
@@ -1189,15 +1082,7 @@ int RunHarness(const std::string& json_path, bool quick) {
       << ",\"bumped_targets\":" << churn_section.bumped_targets
       << ",\"completed\":" << churn_section.completed << ",\"gate\":"
       << (churn_section.gate_ok ? "\"pass\"" : "\"fail\"")
-      << "},\n  \"equivalence\": [\n";
-  for (size_t i = 0; i < equivalence.size(); ++i) {
-    const EquivalenceRow& e = equivalence[i];
-    out << "    {\"n\":" << e.n << ",\"attack\":\"" << e.attack
-        << "\",\"identical_edges\":" << (e.identical_edges ? "true" : "false")
-        << ",\"loss_delta\":" << e.loss_delta << "}"
-        << (i + 1 < equivalence.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"scaling\": [\n";
+      << "},\n  \"scaling\": [\n";
   for (size_t i = 0; i < scaling.size(); ++i) {
     const ScalingRow& r = scaling[i];
     out << "    {\"n\":" << r.n << ",\"edges\":" << r.edges

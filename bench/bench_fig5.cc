@@ -29,10 +29,12 @@ int main() {
     for (const PreparedTarget& t : world->targets) {
       AttackRequest req{t.node, t.target_label, t.budget};
       const AttackResult result = attack.Attack(world->ctx, req, &rng);
-      const Tensor logits = world->model->LogitsFromRaw(
-          result.adjacency, world->data.features);
-      const Explanation e = inspector.Explain(result.adjacency, t.node,
-                                              logits.ArgMaxRow(t.node));
+      const Tensor attacked =
+          DensePerturbedAdjacency(world->ctx, result.added_edges);
+      const Tensor logits =
+          world->model->LogitsFromRaw(attacked, world->data.features);
+      const Explanation e =
+          inspector.Explain(attacked, t.node, logits.ArgMaxRow(t.node));
       for (size_t i = 0; i < sizes.size(); ++i) {
         const DetectionMetrics d =
             ComputeDetection(e, result.added_edges, sizes[i], 15);

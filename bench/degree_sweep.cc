@@ -37,12 +37,13 @@ std::vector<DegreeCell> NettackDegreeSweep(
       for (const PreparedTarget& t : prepared) {
         AttackRequest req{t.node, t.target_label, t.budget};
         const AttackResult result = nettack.Attack(world->ctx, req, &rng);
-        const Tensor logits = world->model->LogitsFromRaw(
-            result.adjacency, world->data.features);
+        const Tensor attacked =
+            DensePerturbedAdjacency(world->ctx, result.added_edges);
+        const Tensor logits =
+            world->model->LogitsFromRaw(attacked, world->data.features);
         const int64_t predicted = logits.ArgMaxRow(t.node);
         cell.asr += predicted != t.true_label ? 1.0 : 0.0;
-        const Explanation e =
-            inspector->Explain(result.adjacency, t.node, predicted);
+        const Explanation e = inspector->Explain(attacked, t.node, predicted);
         const DetectionMetrics dm =
             ComputeDetection(e, result.added_edges, 20, 15);
         cell.detection.precision += dm.precision;

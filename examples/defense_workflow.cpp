@@ -84,13 +84,10 @@ int main() {
   GnnExplainer inspector(&model, &data.features, icfg);
   const ProtocolContext pctx = MakeProtocolContext(ctx, inspector);
 
-  GeAttackConfig ge;
-  ge.use_sparse = true;
   TablePrinter table({"attacker", "successful attacks", "recovered",
                       "adversarial/pruned edges"});
   for (const auto* attack : std::initializer_list<const TargetedAttack*>{
-           new FgaAttack(/*targeted=*/true, /*use_sparse=*/true),
-           new GeAttack(ge)}) {
+           new FgaAttack(/*targeted=*/true), new GeAttack()}) {
     Rng eval_rng(4);
     const DefenseStats s = Evaluate(ctx, pctx, *attack, targets, &eval_rng);
     table.AddRow({attack->name(), std::to_string(s.attacked),

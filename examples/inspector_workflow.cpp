@@ -32,12 +32,12 @@ void InspectOne(const geattack::AttackContext& ctx,
   using namespace geattack;
   AttackRequest request{target.node, target.target_label, target.budget};
   AttackResult result = attack.Attack(ctx, request, rng);
-  const Tensor logits =
-      model.LogitsFromRaw(result.adjacency, ctx.data->features);
+  const Tensor attacked = DensePerturbedAdjacency(ctx, result.added_edges);
+  const Tensor logits = model.LogitsFromRaw(attacked, ctx.data->features);
   const int64_t predicted = logits.ArgMaxRow(target.node);
 
   Explanation explanation =
-      inspector.Explain(result.adjacency, target.node, predicted);
+      inspector.Explain(attacked, target.node, predicted);
   DetectionMetrics d =
       ComputeDetection(explanation, result.added_edges, 20, 15);
 

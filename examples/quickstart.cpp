@@ -60,7 +60,8 @@ int main() {
   std::cout << "\n";
 
   // 5. Did it work, and can the inspector see it?
-  const Tensor logits = model.LogitsFromRaw(result.adjacency, data.features);
+  const Tensor attacked = DensePerturbedAdjacency(ctx, result.added_edges);
+  const Tensor logits = model.LogitsFromRaw(attacked, data.features);
   const int64_t predicted = logits.ArgMaxRow(target.node);
   std::cout << "post-attack prediction: " << predicted
             << (predicted == target.target_label ? "  (attack succeeded)"
@@ -68,8 +69,7 @@ int main() {
             << "\n";
 
   GnnExplainer inspector(&model, &data.features, GnnExplainerConfig{});
-  Explanation explanation =
-      inspector.Explain(result.adjacency, target.node, predicted);
+  Explanation explanation = inspector.Explain(attacked, target.node, predicted);
   DetectionMetrics detection =
       ComputeDetection(explanation, result.added_edges, /*L=*/20, /*K=*/15);
   std::cout << "inspector ranks of the adversarial edges:";

@@ -21,34 +21,6 @@ const Tensor& CachedXw1(const AttackContext& ctx) {
   return ctx.scratch->xw1;
 }
 
-const Tensor& CachedPenaltyBase(const AttackContext& ctx) {
-  GEA_CHECK(ctx.scratch != nullptr);
-  AttackScratch* s = ctx.scratch.get();
-  std::call_once(s->b_once, [s, &ctx] {
-    const int64_t n = ctx.clean_adjacency.rows();
-    GEA_CHECK(n > 0);  // Requires a dense context.
-    s->b_base = Tensor::Ones(n, n) - Tensor::Identity(n) -
-                ctx.clean_adjacency;
-  });
-  return s->b_base;
-}
-
-std::vector<int64_t> DirectAddCandidates(const Tensor& adjacency,
-                                         int64_t target,
-                                         const std::vector<int64_t>& labels,
-                                         int64_t required_label) {
-  const int64_t n = adjacency.rows();
-  GEA_CHECK(target >= 0 && target < n);
-  std::vector<int64_t> candidates;
-  for (int64_t j = 0; j < n; ++j) {
-    if (j == target) continue;
-    if (adjacency.at(target, j) > 0.5) continue;
-    if (required_label >= 0 && labels[ZU(j)] != required_label) continue;
-    candidates.push_back(j);
-  }
-  return candidates;
-}
-
 namespace {
 
 /// Every node other than `target` that is absent from its ascending

@@ -24,29 +24,28 @@
 
 namespace geattack {
 
-/// Lazily-built caches shared by repeated Attack calls on one context.
-/// Everything here is a deterministic function of (data, model), so hoisting
-/// it out of the per-call loops changes no numerics — it just stops every
-/// Attack call from redoing the O(n·d·h) weight fold (and, on the dense
-/// GEAttack path, the O(n²) penalty-support build).  Each cache is guarded
-/// by a once_flag so concurrent attack workers (src/attack/driver.h) can
-/// race on first use; after initialization all access is read-only.
+/// Lazily-built cache shared by repeated Attack calls on one context.
+/// It is a deterministic function of (features, model), so hoisting it out
+/// of the per-call loops changes no numerics — it just stops every Attack
+/// call from redoing the O(n·d·h) weight fold.  A once_flag guards it so
+/// concurrent attack workers (src/attack/driver.h) can race on first use;
+/// after initialization all access is read-only.
 struct AttackScratch {
   std::once_flag fwd_once;
   GcnForwardContext fwd;  ///< Folded attack-time forward (X·W₁, W₂).
   Tensor xw1;             ///< (n, h) value behind fwd.xw1, for sparse views.
-  std::once_flag b_once;
-  Tensor b_base;  ///< B = 11ᵀ − I − A of the clean graph (dense GEAttack).
 };
 
 /// Immutable attack-time context shared across targets.
 struct AttackContext {
   const GraphData* data = nullptr;  ///< Clean attributed graph.
   const Gcn* model = nullptr;       ///< Trained victim (fixed, evasion).
-  Tensor clean_adjacency;           ///< Dense adjacency of the clean graph;
-                                    ///< may be empty (rows() == 0) on
-                                    ///< sparse-only contexts for graphs too
-                                    ///< large to densify.
+  Tensor clean_adjacency;           ///< Dense adjacency of the clean graph
+                                    ///< (DensePerturbedAdjacency and
+                                    ///< FeatureAttack read it; structure
+                                    ///< attacks never do); empty
+                                    ///< (rows() == 0) on sparse-only
+                                    ///< contexts.
   CsrMatrix clean_csr;              ///< The same adjacency in CSR form; the
                                     ///< sparse eval path patches it with
                                     ///< ApplyEdgeFlips instead of
@@ -67,10 +66,6 @@ const GcnForwardContext& CachedForward(const AttackContext& ctx);
 /// views gather their local rows from this shared tensor.
 const Tensor& CachedXw1(const AttackContext& ctx);
 
-/// The clean graph's dense penalty support B = 11ᵀ − I − A (built on first
-/// use; requires a dense clean_adjacency).
-const Tensor& CachedPenaltyBase(const AttackContext& ctx);
-
 /// One attack query.
 struct AttackRequest {
   int64_t target_node = -1;
@@ -90,15 +85,16 @@ inline bool Cancelled(const AttackRequest& request) {
   return request.cancel != nullptr && request.cancel->Expired();
 }
 
-/// Attack outcome.
+/// Attack outcome: the perturbed graph is the clean one plus `added_edges`
+/// (DensePerturbedAdjacency densifies it on a dense context).
 struct AttackResult {
-  Tensor adjacency;               ///< Perturbed dense adjacency Â.
   std::vector<Edge> added_edges;  ///< The adversarial edges E'.
   /// Per-target outcome.  Attacks themselves only ever mark kTimedOut
   /// (cooperative deadline hit mid-loop; `added_edges` holds the picks
   /// committed so far).  The driver adds kError (exception / non-finite
   /// blowup), kSkipped (run deadline hit before the target started) and
-  /// kInvalidArgument (request rejected by validation).
+  /// kInvalidArgument (request or configured deadline rejected by
+  /// validation).
   Status status;
 };
 
@@ -116,32 +112,26 @@ class TargetedAttack {
                               const AttackRequest& request, Rng* rng) const = 0;
 };
 
-/// Candidate endpoints for a direct add-edge attack on `target`: nodes j
-/// with A[target, j] = 0 and j != target.  When `required_label` >= 0, only
-/// nodes carrying that label are returned (the paper's per-baseline
-/// targeted-label constraint).
-std::vector<int64_t> DirectAddCandidates(const Tensor& adjacency,
-                                         int64_t target,
-                                         const std::vector<int64_t>& labels,
-                                         int64_t required_label);
-
-/// Graph-based twin of DirectAddCandidates — O(n) with no dense adjacency
-/// (identical candidate order).
+/// Candidate endpoints for a direct add-edge attack on `target`, in
+/// ascending order: nodes j with no edge (target, j) and j != target.  When
+/// `required_label` >= 0, only nodes carrying that label are returned (the
+/// paper's per-baseline targeted-label constraint).  O(n).
 std::vector<int64_t> DirectAddCandidates(const Graph& graph, int64_t target,
                                          const std::vector<int64_t>& labels,
                                          int64_t required_label);
 
-/// CSR twin over a symmetric adjacency pattern with sorted rows — the sparse
-/// attack loops pass AttackContext::clean_csr (identical candidate order).
+/// CSR twin over a symmetric adjacency pattern with sorted rows — the attack
+/// loops pass AttackContext::clean_csr (identical candidate order).
 std::vector<int64_t> DirectAddCandidates(const CsrPattern& adjacency,
                                          int64_t target,
                                          const std::vector<int64_t>& labels,
                                          int64_t required_label);
 
 /// The context's dense clean adjacency with the `added` edges written
-/// symmetrically, or an empty tensor on a sparse-only context.  Adjacency
-/// values are exactly 0.0/1.0, so this is bit-identical to densifying the
-/// perturbed Graph, without ever copying the Graph.
+/// symmetrically (pass an AttackResult's `added_edges`), or an empty tensor
+/// on a sparse-only context.  Adjacency values are exactly 0.0/1.0, so this
+/// is bit-identical to densifying the perturbed Graph, without ever copying
+/// the Graph.
 Tensor DensePerturbedAdjacency(const AttackContext& ctx,
                                const std::vector<Edge>& added);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <mutex>
 #include <string>
@@ -35,9 +36,7 @@ void WarmSharedCaches(const AttackContext& ctx) {
   // Build the lazily-initialized shared structures every attacker touches
   // before workers spawn.  The once_flags make concurrent first use safe
   // anyway; warming just keeps the folds off the critical path of one
-  // unlucky worker.  CachedPenaltyBase is deliberately NOT warmed: it is
-  // O(n²), only the dense GEAttack paths read it, and its call_once covers
-  // them.
+  // unlucky worker.
   CachedForward(ctx);
   if (!ctx.clean_csr.empty()) ctx.clean_csr.pattern()->Transpose();
   if (!ctx.clean_norm_csr.empty()) ctx.clean_norm_csr.pattern()->Transpose();
@@ -62,24 +61,34 @@ std::string ValidateRequest(const AttackContext& ctx,
   return std::string();
 }
 
-/// Rebuilds a replayed journal record into a full result; the dense
-/// adjacency is DensePerturbedAdjacency of its picks, the same bits the
-/// attack returned.  Returns false on a corrupt-but-parseable record
-/// (out-of-range endpoints) — the target is simply recomputed.
-bool RebuildJournaledResult(const AttackContext& ctx,
-                            const JournalRecord& record, AttackResult* out) {
+/// Whether a replayed journal record's edges are in range.  A
+/// corrupt-but-parseable record (out-of-range endpoints) is not replayed —
+/// the target is simply recomputed.
+bool JournaledEdgesValid(const AttackContext& ctx,
+                         const JournalRecord& record) {
   const int64_t n = ctx.data->num_nodes();
   for (const Edge& e : record.result.added_edges)
     if (e.u < 0 || e.u >= n || e.v < 0 || e.v >= n || e.u == e.v)
       return false;
-  *out = record.result;
-  const StatusCode code = out->status.code();
-  if (code == StatusCode::kOk || code == StatusCode::kTimedOut)
-    out->adjacency = DensePerturbedAdjacency(ctx, out->added_edges);
   return true;
 }
 
 }  // namespace
+
+Status CheckDeadlines(double run_deadline_ms, double target_deadline_ms) {
+  const auto unfit = [](const char* field, double ms) {
+    return Status::InvalidArgument(std::string(field) + " " +
+                                   std::to_string(ms) +
+                                   " is not a finite offset on the steady "
+                                   "clock");
+  };
+  const auto now = std::chrono::steady_clock::now();
+  if (!DeadlineFits(run_deadline_ms, now))
+    return unfit("run_deadline_ms", run_deadline_ms);
+  if (!DeadlineFits(target_deadline_ms, now))
+    return unfit("target_deadline_ms", target_deadline_ms);
+  return Status::Ok();
+}
 
 std::vector<AttackResult> RunMultiTargetAttack(
     const AttackContext& ctx, const TargetedAttack& attack,
@@ -94,6 +103,13 @@ std::vector<AttackResult> RunMultiTargetAttack(
   // streams; explicit per-request seeds would silently break it.
   GEA_CHECK(config.request_seeds.empty() || config.journal_path.empty());
   const int64_t num_requests = static_cast<int64_t>(requests.size());
+
+  const Status deadlines =
+      CheckDeadlines(config.run_deadline_ms, config.target_deadline_ms);
+  if (!deadlines.ok()) {
+    for (AttackResult& result : results) result.status = deadlines;
+    return results;
+  }
 
   // Malformed requests become kInvalidArgument results without running —
   // they are never scheduled and never journaled (revalidated on resume).
@@ -124,7 +140,8 @@ std::vector<AttackResult> RunMultiTargetAttack(
     for (const JournalRecord& record : prior.records) {
       const int64_t i = record.request_index;
       if (done[ZU(i)]) continue;
-      if (RebuildJournaledResult(ctx, record, &results[ZU(i)])) {
+      if (JournaledEdgesValid(ctx, record)) {
+        results[ZU(i)] = record.result;
         done[ZU(i)] = 1;
         replayed.push_back(i);
       }

@@ -24,9 +24,9 @@
 //      concurrently.
 //
 // Shared-state audit (what makes concurrent Attack calls safe):
-//   * AttackScratch caches (CachedForward / CachedXw1 / CachedPenaltyBase)
-//     are once_flag-guarded; the driver additionally pre-warms them so
-//     workers only ever read.
+//   * The AttackScratch cache (CachedForward / CachedXw1) is
+//     once_flag-guarded; the driver additionally pre-warms it so workers
+//     only ever read.
 //   * CsrPattern::Transpose() is call_once-cached — concurrent SpMM
 //     backwards on the shared clean/normalized CSR patterns are safe.
 //   * The autodiff node-id counter is atomic; graphs themselves are
@@ -58,14 +58,15 @@ struct AttackDriverConfig {
   /// Base seed of the per-target streams.
   uint64_t base_seed = 0;
   /// Whole-run wall-clock deadline in milliseconds, armed when the run
-  /// starts (<= 0 = none).  Targets whose task starts after it passed are
-  /// marked kSkipped without running; targets caught mid-loop return their
-  /// partial result as kTimedOut.
+  /// starts (<= 0 = none; must pass CheckDeadlines).  Targets whose task
+  /// starts after it passed are marked kSkipped without running; targets
+  /// caught mid-loop return their partial result as kTimedOut.
   double run_deadline_ms = 0.0;
   /// Per-target deadline in milliseconds, armed when the target's task
-  /// STARTS (queue wait does not count), <= 0 = none.  Polled
-  /// cooperatively at greedy-round / inner-mask-step granularity; an
-  /// expired target returns the picks committed so far with kTimedOut.
+  /// STARTS (queue wait does not count), <= 0 = none; must pass
+  /// CheckDeadlines.  Polled cooperatively at greedy-round /
+  /// inner-mask-step granularity; an expired target returns the picks
+  /// committed so far with kTimedOut.
   double target_deadline_ms = 0.0;
   /// When non-empty (must then match requests.size()), request i draws
   /// from Rng(request_seeds[i]) instead of Rng(TargetSeed(base_seed, i)).
@@ -86,6 +87,12 @@ struct AttackDriverConfig {
   std::string journal_path;
 };
 
+/// Ok when both deadlines can be armed now (DeadlineFits); otherwise the
+/// kInvalidArgument that every target of a run configured with them gets,
+/// without running: arming such a deadline would overflow the steady
+/// clock, and AttackService::Submit rejects such a request the same way.
+Status CheckDeadlines(double run_deadline_ms, double target_deadline_ms);
+
 /// Runs `attack` on every request against the shared read-only `ctx` and
 /// returns results in request order.  Bit-identical output for any
 /// `num_threads`.  Each target is one task, and workers take tasks from
@@ -95,9 +102,11 @@ struct AttackDriverConfig {
 /// and serializes the tail.  The schedule never affects seeds: request i
 /// always draws from its own stream.
 ///
-/// Fault containment: requests with an out-of-range target_node /
-/// target_label or a negative budget come back as kInvalidArgument without
-/// running; requests whose caller-provided cancellation token (chained
+/// Fault containment: a configured deadline that fails CheckDeadlines
+/// turns every target into kInvalidArgument without running; requests with
+/// an out-of-range target_node / target_label or a negative budget come
+/// back as kInvalidArgument without running; requests whose
+/// caller-provided cancellation token (chained
 /// under the per-target token) is already expired when their task starts
 /// come back as kSkipped *before* any rng stream is consumed — a doomed
 /// request never perturbs a survivor and never burns compute; a per-task

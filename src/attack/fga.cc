@@ -1,6 +1,5 @@
 #include "src/attack/fga.h"
 
-#include <algorithm>
 #include <limits>
 #include <optional>
 #include <unordered_set>
@@ -10,21 +9,6 @@
 
 namespace geattack {
 
-int64_t BestCandidateByGradient(const Tensor& gradient, int64_t target,
-                                const std::vector<int64_t>& candidates) {
-  int64_t best = -1;
-  double best_score = std::numeric_limits<double>::infinity();
-  for (int64_t j : candidates) {
-    const double score = CheckFiniteScore(
-        gradient.at(target, j) + gradient.at(j, target), "gradient score");
-    if (score < best_score) {
-      best_score = score;
-      best = j;
-    }
-  }
-  return best;
-}
-
 std::vector<int64_t> FgaAttack::ExcludedNodes(const AttackContext&,
                                               const Graph&,
                                               const AttackRequest&) const {
@@ -33,59 +17,6 @@ std::vector<int64_t> FgaAttack::ExcludedNodes(const AttackContext&,
 
 AttackResult FgaAttack::Attack(const AttackContext& ctx,
                                const AttackRequest& request, Rng*) const {
-  return use_sparse_ ? AttackSparse(ctx, request)
-                     : AttackDense(ctx, request);
-}
-
-AttackResult FgaAttack::AttackDense(const AttackContext& ctx,
-                                    const AttackRequest& request) const {
-  AttackResult result;
-  result.adjacency = ctx.clean_adjacency;
-  const GcnForwardContext& fwd = CachedForward(ctx);
-  const int64_t v = request.target_node;
-  Graph current = ctx.data->graph;
-
-  for (int64_t step = 0; step < request.budget; ++step) {
-    if (Cancelled(request)) {
-      result.status = Status::TimedOut("deadline exceeded");
-      break;
-    }
-    Var adj = Var::Leaf(result.adjacency, /*requires_grad=*/true, "A_hat");
-    Var loss;
-    if (targeted_) {
-      GEA_CHECK(request.target_label >= 0);
-      loss = TargetedAttackLoss(fwd, adj, v, request.target_label);
-    } else {
-      // Untargeted: maximize the loss of the current prediction, i.e.
-      // minimize its negation.
-      const Tensor logits =
-          ctx.model->LogitsFromRaw(result.adjacency, ctx.data->features);
-      loss = Neg(TargetedAttackLoss(fwd, adj, v, logits.ArgMaxRow(v)));
-    }
-    const Tensor gradient = GradOne(loss, adj).value();
-
-    auto candidates = DirectAddCandidates(result.adjacency, v,
-                                          ctx.data->labels, /*label*/ -1);
-    const auto excluded = ExcludedNodes(ctx, current, request);
-    if (!excluded.empty()) {
-      // lint-ok: unordered-iteration (this `excluded` is the std::vector
-      // returned by ExcludedNodes; `ex` is membership-only)
-      const std::unordered_set<int64_t> ex(excluded.begin(), excluded.end());
-      candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
-                                      [&ex](int64_t j) { return ex.count(j); }),
-                       candidates.end());
-    }
-    const int64_t pick = BestCandidateByGradient(gradient, v, candidates);
-    if (pick < 0) break;
-    AddEdgeDense(&result.adjacency, v, pick);
-    current.AddEdge(v, pick);
-    result.added_edges.emplace_back(v, pick);
-  }
-  return result;
-}
-
-AttackResult FgaAttack::AttackSparse(const AttackContext& ctx,
-                                     const AttackRequest& request) const {
   AttackResult result;
   const CsrPattern& clean = *ctx.clean_csr.pattern();
   const int64_t v = request.target_node;
@@ -145,8 +76,6 @@ AttackResult FgaAttack::AttackSparse(const AttackContext& ctx,
     if (current) current->AddEdge(v, j);
     result.added_edges.emplace_back(v, j);
   }
-
-  result.adjacency = DensePerturbedAdjacency(ctx, result.added_edges);
   return result;
 }
 

@@ -11,79 +11,6 @@ namespace geattack {
 AttackResult IgAttack::Attack(const AttackContext& ctx,
                               const AttackRequest& request, Rng*) const {
   GEA_CHECK(request.target_label >= 0);
-  return config_.use_sparse ? AttackSparse(ctx, request)
-                            : AttackDense(ctx, request);
-}
-
-AttackResult IgAttack::AttackDense(const AttackContext& ctx,
-                                   const AttackRequest& request) const {
-  AttackResult result;
-  result.adjacency = ctx.clean_adjacency;
-  const GcnForwardContext& fwd = CachedForward(ctx);
-  const int64_t v = request.target_node;
-
-  bool timed_out = false;
-  for (int64_t step = 0; step < request.budget && !timed_out; ++step) {
-    if (Cancelled(request)) break;
-    auto candidates = DirectAddCandidates(result.adjacency, v,
-                                          ctx.data->labels, /*label*/ -1);
-    if (candidates.empty()) break;
-
-    // Optional gradient shortlist: keep the `shortlist` candidates with the
-    // most loss-decreasing plain gradient.
-    if (config_.shortlist > 0 &&
-        static_cast<int64_t>(candidates.size()) > config_.shortlist) {
-      Var adj = Var::Leaf(result.adjacency, true, "A_hat");
-      Var loss = TargetedAttackLoss(fwd, adj, v, request.target_label);
-      const Tensor g = GradOne(loss, adj).value();
-      std::sort(candidates.begin(), candidates.end(),
-                [&](int64_t a, int64_t b) {
-                  return g.at(v, a) + g.at(a, v) < g.at(v, b) + g.at(b, v);
-                });
-      candidates.resize(static_cast<size_t>(config_.shortlist));
-    }
-
-    // Exact per-candidate integrated gradients along the single-entry path.
-    // One IG round is `steps` full backwards per candidate — by far the
-    // most expensive greedy round in the suite — so the deadline is also
-    // polled per candidate.
-    int64_t best = -1;
-    double best_ig = std::numeric_limits<double>::infinity();
-    for (int64_t j : candidates) {
-      if (Cancelled(request)) {
-        timed_out = true;
-        break;
-      }
-      double ig = 0.0;
-      for (int64_t k = 1; k <= config_.steps; ++k) {
-        const double alpha =
-            static_cast<double>(k) / static_cast<double>(config_.steps);
-        Tensor interp = result.adjacency;
-        interp.at(v, j) = alpha;
-        interp.at(j, v) = alpha;
-        Var adj = Var::Leaf(interp, true, "A_alpha");
-        Var loss = TargetedAttackLoss(fwd, adj, v, request.target_label);
-        const Tensor g = GradOne(loss, adj).value();
-        ig += g.at(v, j) + g.at(j, v);
-      }
-      ig = CheckFiniteScore(ig / static_cast<double>(config_.steps),
-                            "integrated-gradient score");
-      if (ig < best_ig) {
-        best_ig = ig;
-        best = j;
-      }
-    }
-    if (timed_out || best < 0) break;
-    AddEdgeDense(&result.adjacency, v, best);
-    result.added_edges.emplace_back(v, best);
-  }
-  if (timed_out || Cancelled(request))
-    result.status = Status::TimedOut("deadline exceeded");
-  return result;
-}
-
-AttackResult IgAttack::AttackSparse(const AttackContext& ctx,
-                                    const AttackRequest& request) const {
   AttackResult result;
   const CsrPattern& clean = *ctx.clean_csr.pattern();
   const int64_t v = request.target_node;
@@ -155,7 +82,6 @@ AttackResult IgAttack::AttackSparse(const AttackContext& ctx,
 
   if (timed_out || Cancelled(request))
     result.status = Status::TimedOut("deadline exceeded");
-  result.adjacency = DensePerturbedAdjacency(ctx, result.added_edges);
   return result;
 }
 

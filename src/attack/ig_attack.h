@@ -11,6 +11,10 @@
 // gradient (an FGA pass), then compute exact per-candidate IG on the
 // shortlist — DESIGN.md §3 documents this substitution; `shortlist = 0`
 // disables it and scores every candidate exactly.
+//
+// Each path sample relaxes only the scored candidate's value on the
+// target's SubgraphView, O((|E| + m)·h) per forward/backward instead of
+// the n x n relaxation's O(n²·h); the scores are the same.
 
 #ifndef GEATTACK_SRC_ATTACK_IG_ATTACK_H_
 #define GEATTACK_SRC_ATTACK_IG_ATTACK_H_
@@ -23,10 +27,6 @@ namespace geattack {
 struct IgAttackConfig {
   int64_t steps = 5;       ///< Riemann steps m of the path integral.
   int64_t shortlist = 32;  ///< Gradient-prefiltered candidate pool (0 = all).
-  /// Candidate-edge-value path (default): each path sample relaxes only the
-  /// scored candidate's value, O((|E| + m)·h) instead of O(n²·h) per
-  /// forward/backward.  Identical scores to the dense relaxation.
-  bool use_sparse = true;
 };
 
 /// The IG-Attack baseline.
@@ -40,11 +40,6 @@ class IgAttack : public TargetedAttack {
                       Rng* rng) const override;
 
  private:
-  AttackResult AttackDense(const AttackContext& ctx,
-                           const AttackRequest& request) const;
-  AttackResult AttackSparse(const AttackContext& ctx,
-                            const AttackRequest& request) const;
-
   IgAttackConfig config_;
 };
 

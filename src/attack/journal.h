@@ -78,9 +78,8 @@
 
 namespace geattack {
 
-/// One replayed driver-journal entry.  `result` carries added_edges and
-/// status only; the driver reconstructs the dense adjacency (exactly
-/// 0.0/1.0 values) from the context's clean adjacency.
+/// One replayed driver-journal entry: the whole AttackResult (added_edges
+/// and status).
 struct JournalRecord {
   int64_t request_index = -1;
   AttackResult result;
@@ -188,8 +187,7 @@ struct ServiceCompleteRecord {
   int64_t attempts = 0;
   int64_t effective_budget = 0;
   int64_t epoch = 0;  ///< Epoch the final attempt was computed at.
-  /// status + added_edges; the dense adjacency is rebuilt on replay.
-  AttackResult result;
+  AttackResult result;  ///< Status + added_edges: the whole result.
 };
 
 /// One WAL event in file order.

@@ -21,59 +21,6 @@ double TargetMargin(const Tensor& logits_row, int64_t target_label) {
 AttackResult Nettack::Attack(const AttackContext& ctx,
                              const AttackRequest& request, Rng*) const {
   GEA_CHECK(request.target_label >= 0);
-  return config_.use_sparse ? AttackSparse(ctx, request)
-                            : AttackDense(ctx, request);
-}
-
-AttackResult Nettack::AttackDense(const AttackContext& ctx,
-                                  const AttackRequest& request) const {
-  AttackResult result;
-  result.adjacency = ctx.clean_adjacency;
-  const int64_t v = request.target_node;
-  const int64_t target_label = request.target_label;
-
-  const LinearizedGcn surrogate(*ctx.model, ctx.data->features);
-  const DegreeDistributionTest degree_test(
-      Graph::FromDense(ctx.clean_adjacency), config_.degree_test_d_min,
-      config_.degree_test_threshold);
-  Graph current = Graph::FromDense(ctx.clean_adjacency);
-
-  for (int64_t step = 0; step < request.budget; ++step) {
-    if (Cancelled(request)) {
-      result.status = Status::TimedOut("deadline exceeded");
-      break;
-    }
-    const auto candidates = DirectAddCandidates(result.adjacency, v,
-                                                ctx.data->labels, /*label*/ -1);
-    // Score each candidate by the surrogate margin of the target label
-    // after adding the edge:  Z[v, ŷ] - max_{c != ŷ} Z[v, c].
-    int64_t best = -1;
-    double best_margin = -std::numeric_limits<double>::infinity();
-    for (int64_t j : candidates) {
-      if (config_.enforce_degree_test &&
-          !degree_test.EdgeAdditionUnnoticeable(current, v, j)) {
-        continue;
-      }
-      Tensor trial = result.adjacency;
-      AddEdgeDense(&trial, v, j);
-      const Tensor logits_row = surrogate.LogitsRow(trial, v);
-      const double margin = CheckFiniteScore(
-          TargetMargin(logits_row, target_label), "surrogate margin");
-      if (margin > best_margin) {
-        best_margin = margin;
-        best = j;
-      }
-    }
-    if (best < 0) break;  // Degree test rejected everything.
-    AddEdgeDense(&result.adjacency, v, best);
-    current.AddEdge(v, best);
-    result.added_edges.emplace_back(v, best);
-  }
-  return result;
-}
-
-AttackResult Nettack::AttackSparse(const AttackContext& ctx,
-                                   const AttackRequest& request) const {
   AttackResult result;
   const Graph& clean = ctx.data->graph;
   const int64_t v = request.target_node;
@@ -129,9 +76,6 @@ AttackResult Nettack::AttackSparse(const AttackContext& ctx,
     current.AddEdge(v, best);
     result.added_edges.emplace_back(v, best);
   }
-
-  if (ctx.clean_adjacency.rows() > 0)
-    result.adjacency = current.DenseAdjacency();
   return result;
 }
 

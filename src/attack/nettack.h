@@ -1,6 +1,9 @@
 // Nettack (Zügner et al., KDD'18), targeted structure variant (paper §5.1):
 // greedy edge addition scored on the linearized GCN surrogate, restricted
 // to perturbations that preserve the graph's power-law degree distribution.
+// Candidates are scored with LinearizedGcn::LogitsRowWithEdgeAdded on one
+// normalized CSR with incrementally-maintained degrees — O(two-hop volume
+// · c) per candidate instead of an O(n²) dense re-normalization.
 
 #ifndef GEATTACK_SRC_ATTACK_NETTACK_H_
 #define GEATTACK_SRC_ATTACK_NETTACK_H_
@@ -17,12 +20,6 @@ struct NettackConfig {
   /// χ²(1) likelihood-ratio cutoff (Nettack default).
   double degree_test_threshold = 0.004;
   int64_t degree_test_d_min = 2;
-  /// Incremental scoring path (default): candidates are scored with
-  /// LinearizedGcn::LogitsRowWithEdgeAdded on one normalized CSR with
-  /// incrementally-maintained degrees — O(two-hop volume · c) per candidate
-  /// instead of the dense path's O(n²) re-normalization.  Identical picks
-  /// up to floating-point roundoff.
-  bool use_sparse = true;
 };
 
 /// The Nettack baseline.
@@ -36,11 +33,6 @@ class Nettack : public TargetedAttack {
                       Rng* rng) const override;
 
  private:
-  AttackResult AttackDense(const AttackContext& ctx,
-                           const AttackRequest& request) const;
-  AttackResult AttackSparse(const AttackContext& ctx,
-                            const AttackRequest& request) const;
-
   NettackConfig config_;
 };
 

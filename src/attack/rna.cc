@@ -7,20 +7,22 @@ AttackResult RandomAttack::Attack(const AttackContext& ctx,
                                   Rng* rng) const {
   GEA_CHECK(rng != nullptr);
   AttackResult result;
-  result.adjacency = ctx.clean_adjacency;
+  // The clean row's candidates in ascending order; each pick is erased in
+  // place, so every step draws from the clean candidates minus the picks so
+  // far, in that order.
+  std::vector<int64_t> candidates =
+      DirectAddCandidates(*ctx.clean_csr.pattern(), request.target_node,
+                          ctx.data->labels, request.target_label);
   for (int64_t step = 0; step < request.budget; ++step) {
     if (Cancelled(request)) {
       result.status = Status::TimedOut("deadline exceeded");
       break;
     }
-    auto candidates =
-        DirectAddCandidates(result.adjacency, request.target_node,
-                            ctx.data->labels, request.target_label);
     if (candidates.empty()) break;
-    const int64_t pick = candidates[ZU(rng->UniformInt(
-        0, static_cast<int64_t>(candidates.size()) - 1))];
-    AddEdgeDense(&result.adjacency, request.target_node, pick);
-    result.added_edges.emplace_back(request.target_node, pick);
+    const auto pick = candidates.begin() + rng->UniformInt(
+        0, static_cast<int64_t>(candidates.size()) - 1);
+    result.added_edges.emplace_back(request.target_node, *pick);
+    candidates.erase(pick);
   }
   return result;
 }

@@ -28,6 +28,14 @@ bool IsRetryableStatus(StatusCode code) {
   return code == StatusCode::kError || code == StatusCode::kTimedOut;
 }
 
+bool DeadlineFits(double ms, std::chrono::steady_clock::time_point now) {
+  if (!std::isfinite(ms)) return false;
+  if (ms <= 0.0) return true;
+  const std::chrono::duration<double, std::milli> room =
+      std::chrono::steady_clock::time_point::max() - now;
+  return ms < room.count() - 1000.0;
+}
+
 std::string Status::ToString() const {
   if (ok()) return "ok";
   std::string s = StatusCodeName(code_);

@@ -122,6 +122,14 @@ inline double CheckFiniteScore(double v, const char* what) {
   return v;
 }
 
+/// Whether a relative deadline of `ms` milliseconds can be armed at `now`:
+/// <= 0 is "none"; otherwise it must be finite and land on the steady
+/// clock, whose double-to-tick cast overflows past its range.  The second
+/// of slack covers that rounding and the moment between this check and
+/// arming the token.  Callers reject a deadline that does not fit before
+/// arming anything (CancellationToken::SetDeadlineAfterMs does not check).
+bool DeadlineFits(double ms, std::chrono::steady_clock::time_point now);
+
 /// Cooperative cancellation: a steady-clock deadline plus a manual cancel
 /// flag, optionally chained to a parent token (the driver chains per-target
 /// tokens to the whole-run token).  Attack loops poll Expired() at
@@ -146,7 +154,8 @@ class CancellationToken {
   CancellationToken(const CancellationToken&) = delete;
   CancellationToken& operator=(const CancellationToken&) = delete;
 
-  /// Arms the deadline `ms` milliseconds from now; ms <= 0 disarms.
+  /// Arms the deadline `ms` milliseconds from now; ms <= 0 disarms.  `ms`
+  /// must satisfy DeadlineFits.
   void SetDeadlineAfterMs(double ms) {
     if (ms <= 0.0) {
       armed_ = false;

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "src/attack/fga.h"
 #include "src/graph/subgraph.h"
 #include "src/nn/sparse_forward.h"
 
@@ -13,77 +12,6 @@ AttackResult GeAttack::Attack(const AttackContext& ctx,
                               const AttackRequest& request, Rng* rng) const {
   GEA_CHECK(rng != nullptr);
   GEA_CHECK(request.target_label >= 0);
-  return config_.use_sparse ? AttackSparse(ctx, request, rng)
-                            : AttackDense(ctx, request, rng);
-}
-
-AttackResult GeAttack::AttackDense(const AttackContext& ctx,
-                                   const AttackRequest& request,
-                                   Rng* rng) const {
-  AttackResult result;
-  result.adjacency = ctx.clean_adjacency;
-  const int64_t n = result.adjacency.rows();
-  const int64_t v = request.target_node;
-  const int64_t label = request.target_label;
-  const GcnForwardContext& fwd = CachedForward(ctx);
-
-  // B = 11ᵀ − I − A: penalty support (line 3).  The full matrix is a
-  // context-level cache; only row v matters for direct attacks, so the
-  // per-call state is one O(n) row that line 10's zeroing mutates locally.
-  Tensor b_row = CachedPenaltyBase(ctx).Row(v);
-
-  // M⁰ is randomly initialized once (line 3) and re-used as the inner
-  // loop's starting point in every outer iteration.
-  const Tensor mask_init =
-      rng->NormalTensor(n, n, 0.0, config_.mask_init_scale);
-
-  bool timed_out = false;
-  for (int64_t outer = 0; outer < request.budget && !timed_out; ++outer) {
-    if (Cancelled(request)) break;
-    // Ahat participates in both loss terms and in every inner update.
-    Var adj = Var::Leaf(result.adjacency, /*requires_grad=*/true, "A_hat");
-
-    // ----- Inner loop (lines 5-8): differentiable explainer mimicry. -----
-    Var mask = Var::Leaf(mask_init, /*requires_grad=*/true, "M0");
-    for (int64_t t = 0; t < config_.inner_steps; ++t) {
-      if (Cancelled(request)) {
-        timed_out = true;
-        break;
-      }
-      Var inner_loss =
-          GnnExplainer::ExplainerLoss(fwd, adj, mask, v, label);
-      // create_graph keeps P's dependence on `adj`, which is what makes the
-      // outer gradient a true hypergradient.
-      Var p = GradOne(inner_loss, mask, {.create_graph = true});
-      mask = Sub(mask, MulScalar(p, config_.eta));
-    }
-    if (timed_out) break;
-
-    // ----- Outer objective (Eq. 7). -----
-    Var attack_loss = TargetedAttackLoss(fwd, adj, v, label);
-    // Penalty: Σ_j M^T[v,j]·B[v,j] over the candidate neighbors of v.
-    Var penalty =
-        Sum(Mul(SelectRow(mask, v), Constant(b_row, "B_row")));
-    Var total = Add(attack_loss, MulScalar(penalty, config_.lambda));
-
-    // ----- Outer gradient and greedy edge selection (lines 9-10). -----
-    const Tensor q = GradOne(total, adj).value();
-    const auto candidates = DirectAddCandidates(result.adjacency, v,
-                                                ctx.data->labels, /*label*/ -1);
-    const int64_t pick = BestCandidateByGradient(q, v, candidates);
-    if (pick < 0) break;
-    AddEdgeDense(&result.adjacency, v, pick);
-    result.added_edges.emplace_back(v, pick);
-    if (!config_.keep_penalty_on_added) b_row.at(0, pick) = 0.0;
-  }
-  if (timed_out || Cancelled(request))
-    result.status = Status::TimedOut("deadline exceeded");
-  return result;
-}
-
-AttackResult GeAttack::AttackSparse(const AttackContext& ctx,
-                                    const AttackRequest& request,
-                                    Rng* rng) const {
   AttackResult result;
   const CsrPattern& clean = *ctx.clean_csr.pattern();
   const int64_t v = request.target_node;
@@ -99,10 +27,10 @@ AttackResult GeAttack::AttackSparse(const AttackContext& ctx,
   const int64_t num_slots = view.num_slots();
 
   // M⁰ over the undirected edge slots (clean + candidate), drawn once and
-  // reused every outer iteration — the per-edge twin of the dense n x n
-  // draw.  The dense path symmetrizes its mask, so each undirected slot
-  // effectively starts at the mean of two independent normals: std
-  // scale/√2.  Scale 0 makes the path bit-comparable to the dense attack.
+  // reused every outer iteration — the per-edge twin of the paper's n x n
+  // draw.  The n x n relaxation symmetrizes its mask, so each undirected
+  // slot effectively starts at the mean of two independent normals: std
+  // scale/√2.  Scale 0 makes the loop bit-comparable to the n x n one.
   const Tensor mask_init =
       config_.mask_init_scale > 0.0
           ? rng->NormalTensor(num_slots, 1, 0.0,
@@ -124,7 +52,7 @@ AttackResult GeAttack::AttackSparse(const AttackContext& ctx,
     // list.  The masked adjacency value of slot e is a_e·σ(μ_e), with
     // a_e = 1 on (committed) edges and a_e = w_k on candidate slots, so
     // M^T's dependence on the relaxed candidate values stays on-graph and
-    // the outer gradient is the same hypergradient as the dense path's.
+    // the outer gradient is the same hypergradient as the n x n one.
     Var mu = Var::Leaf(mask_init, /*requires_grad=*/true, "M0");
     for (int64_t t = 0; t < config_.inner_steps; ++t) {
       if (Cancelled(request)) {
@@ -137,7 +65,7 @@ AttackResult GeAttack::AttackSparse(const AttackContext& ctx,
       Var inner_loss = NllRow(SparseGcnLogitsVar(sf, values),
                               view.target_local, label);
       Var p = GradOne(inner_loss, mu, {.create_graph = true});
-      // η/2: one undirected slot aggregates the gradient of the dense
+      // η/2: one undirected slot aggregates the gradient of the n x n
       // parameterization's two mirrored entries, whose symmetrized mask
       // moves at half the per-entry rate.
       mu = Sub(mu, MulScalar(p, 0.5 * config_.eta));
@@ -174,7 +102,6 @@ AttackResult GeAttack::AttackSparse(const AttackContext& ctx,
 
   if (timed_out || Cancelled(request))
     result.status = Status::TimedOut("deadline exceeded");
-  result.adjacency = DensePerturbedAdjacency(ctx, result.added_edges);
   return result;
 }
 

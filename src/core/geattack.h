@@ -13,6 +13,14 @@
 // B = 11ᵀ − I − A masks the penalty off the clean graph's edges so the
 // explainer still behaves normally on them; each added adversarial edge
 // additionally zeroes its B entry (Algorithm 1, line 10).
+//
+// The relaxed adjacency, the explainer mask and the penalty all live on the
+// target's SubgraphView edge list, so one outer iteration (T inner steps +
+// the hypergradient) costs O(T·(|E_sub| + m)·h) instead of the n x n
+// relaxation's O(T·n²·h).  With mask_init_scale = 0 it picks the same edges
+// as the n x n loop (tests/sparse_attack_test.cc keeps that loop as its
+// oracle); with a random init it draws one normal per edge slot instead of
+// n², so a fixed seed lands on a different (equally valid) M⁰.
 
 #ifndef GEATTACK_SRC_CORE_GEATTACK_H_
 #define GEATTACK_SRC_CORE_GEATTACK_H_
@@ -37,19 +45,7 @@ struct GeAttackConfig {
   /// NOT zeroed, so the penalty keeps suppressing their mask in later outer
   /// iterations.  Algorithm 1 zeroes them (false).
   bool keep_penalty_on_added = false;
-  /// Candidate-edge-value path (default): the relaxed adjacency, the
-  /// explainer mask, and the penalty all live on the target's SubgraphView
-  /// edge list, so one outer iteration (T inner steps + the hypergradient)
-  /// costs O(T·(|E_sub| + m)·h) instead of O(T·n²·h) — the only path that
-  /// runs at multi-10k nodes.  With mask_init_scale = 0 the two paths pick
-  /// identical edges; with a random init the sparse path draws one normal
-  /// per edge slot instead of n², so a fixed seed lands on a different
-  /// (equally valid) M⁰ — the fixed-seed integration pins are anchored on
-  /// the driver's per-target TargetSeed streams, which make that choice
-  /// per-target stable.  Set false for the historical dense n x n
-  /// relaxation.
-  bool use_sparse = true;
-  /// Sparse view radius: -1 keeps every node (numerically exact); k >= 2
+  /// View radius: -1 keeps every node (numerically exact); k >= 2
   /// restricts the view to the k-hop ball around the target in the
   /// augmented graph (boundary edges enter normalization as unmasked
   /// constants — the standard subgraph-explanation approximation).
@@ -69,11 +65,6 @@ class GeAttack : public TargetedAttack {
   const GeAttackConfig& config() const { return config_; }
 
  private:
-  AttackResult AttackDense(const AttackContext& ctx,
-                           const AttackRequest& request, Rng* rng) const;
-  AttackResult AttackSparse(const AttackContext& ctx,
-                            const AttackRequest& request, Rng* rng) const;
-
   GeAttackConfig config_;
 };
 

@@ -4,7 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "src/attack/fga.h"
 #include "src/graph/subgraph.h"
 #include "src/nn/sparse_forward.h"
 
@@ -14,91 +13,6 @@ AttackResult GeAttackPg::Attack(const AttackContext& ctx,
                                 const AttackRequest& request, Rng*) const {
   GEA_CHECK(explainer_ != nullptr && explainer_->trained());
   GEA_CHECK(request.target_label >= 0);
-  return config_.use_sparse ? AttackSparse(ctx, request)
-                            : AttackDense(ctx, request);
-}
-
-AttackResult GeAttackPg::AttackDense(const AttackContext& ctx,
-                                     const AttackRequest& request) const {
-  AttackResult result;
-  result.adjacency = ctx.clean_adjacency;
-  const int64_t n = result.adjacency.rows();
-  const int64_t v = request.target_node;
-  const int64_t label = request.target_label;
-  const GcnForwardContext& fwd = CachedForward(ctx);
-  const int hops = explainer_->config().hops;
-
-  // Only row v of B is read (direct attack); line 10's zeroing stays local.
-  Tensor b_row = CachedPenaltyBase(ctx).Row(v);
-
-  bool timed_out = false;
-  for (int64_t outer = 0; outer < request.budget && !timed_out; ++outer) {
-    if (Cancelled(request)) break;
-    Var adj = Var::Leaf(result.adjacency, /*requires_grad=*/true, "A_hat");
-    // Embeddings depend on Â differentiably: H = ReLU(norm(Â)·XW₁).
-    Var norm = NormalizeAdjacencyVar(adj);
-    Var hidden = Relu(MatMul(norm, fwd.xw1));
-
-    const Graph current = Graph::FromDense(result.adjacency);
-    const auto pairs = ComputationSubgraphPairs(current, v, hops);
-
-    // ----- Inner loop: differentiable ψ updates (PGExplainer training
-    // steps on the current Â, instance v). -----
-    Var w1 = Var::Leaf(explainer_->params().w1, true, "pg_w1");
-    Var b1 = Var::Leaf(explainer_->params().b1, true, "pg_b1");
-    Var w2 = Var::Leaf(explainer_->params().w2, true, "pg_w2");
-    if (!pairs.empty()) {
-      for (int64_t t = 0; t < config_.inner_steps; ++t) {
-        if (Cancelled(request)) {
-          timed_out = true;
-          break;
-        }
-        Var omega = PgEdgeLogits(hidden, pairs, v, w1, b1, w2);
-        Var gate = Sigmoid(omega);
-        Var masked = Add(adj, ScatterEdges(AddScalar(gate, -1.0), pairs, n));
-        Var logits = GcnLogitsVar(fwd, masked);
-        Var inner_loss = NllRow(logits, v, label);
-        auto grads = Grad(inner_loss, {w1, b1, w2}, {.create_graph = true});
-        w1 = Sub(w1, MulScalar(grads[0], config_.eta));
-        b1 = Sub(b1, MulScalar(grads[1], config_.eta));
-        w2 = Sub(w2, MulScalar(grads[2], config_.eta));
-      }
-    }
-    if (timed_out) break;
-
-    // ----- Outer objective: attack loss + λ · Σ ω(v, j)·B[v,j] over the
-    // candidate edges. -----
-    const auto candidates = DirectAddCandidates(result.adjacency, v,
-                                                ctx.data->labels, /*label*/ -1);
-    if (candidates.empty()) break;
-    std::vector<IndexPair> candidate_pairs;
-    Tensor b_vec(static_cast<int64_t>(candidates.size()), 1);
-    for (size_t k = 0; k < candidates.size(); ++k) {
-      candidate_pairs.push_back({v, candidates[k]});
-      b_vec.at(static_cast<int64_t>(k), 0) = b_row.at(0, candidates[k]);
-    }
-    Var omega_cand =
-        PgEdgeLogits(hidden, candidate_pairs, v, w1, b1, w2);
-    // Mean (not sum) over candidates so λ is insensitive to graph size.
-    Var penalty = MulScalar(Sum(Mul(omega_cand, Constant(b_vec, "B_cand"))),
-                            1.0 / static_cast<double>(candidates.size()));
-    Var total = Add(TargetedAttackLoss(fwd, adj, v, label),
-                    MulScalar(penalty, config_.lambda));
-
-    const Tensor q = GradOne(total, adj).value();
-    const int64_t pick = BestCandidateByGradient(q, v, candidates);
-    if (pick < 0) break;
-    AddEdgeDense(&result.adjacency, v, pick);
-    result.added_edges.emplace_back(v, pick);
-    if (!config_.keep_penalty_on_added) b_row.at(0, pick) = 0.0;
-  }
-  if (timed_out || Cancelled(request))
-    result.status = Status::TimedOut("deadline exceeded");
-  return result;
-}
-
-AttackResult GeAttackPg::AttackSparse(const AttackContext& ctx,
-                                      const AttackRequest& request) const {
   AttackResult result;
   const CsrPattern& clean = *ctx.clean_csr.pattern();
   const int64_t v = request.target_node;
@@ -239,8 +153,6 @@ AttackResult GeAttackPg::AttackSparse(const AttackContext& ctx,
 
   if (timed_out || Cancelled(request))
     result.status = Status::TimedOut("deadline exceeded");
-  if (ctx.clean_adjacency.rows() > 0)
-    result.adjacency = current.DenseAdjacency();
   return result;
 }
 

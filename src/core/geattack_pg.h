@@ -8,7 +8,9 @@
 // weights ω_ψ(v, j) that PGExplainer would assign to the candidate edges —
 // pushing ω down means the adversarial edge is ranked low by the explainer.
 // The node embeddings feeding ω depend on Â through the GCN's first layer,
-// so the outer gradient again backprops through the inner updates.
+// so the outer gradient again backprops through the inner updates.  The
+// relaxed adjacency and the gate-masked forward live on the target's
+// SubgraphView slots, as in GEAttack.
 
 #ifndef GEATTACK_SRC_CORE_GEATTACK_PG_H_
 #define GEATTACK_SRC_CORE_GEATTACK_PG_H_
@@ -24,12 +26,7 @@ struct GeAttackPgConfig {
   double eta = 0.005;       ///< Inner step size for the ψ updates.
   int64_t inner_steps = 2;  ///< T.
   bool keep_penalty_on_added = false;  ///< As in GeAttackConfig.
-  /// Candidate-edge-value path (default): the relaxed adjacency and the
-  /// gate-masked forward live on the target's SubgraphView slots; the ψ
-  /// updates and the ω penalty are unchanged, so the two paths pick
-  /// identical edges up to floating-point roundoff.
-  bool use_sparse = true;
-  /// Sparse view radius (-1 = every node; exact).  See GeAttackConfig.
+  /// View radius (-1 = every node; exact).  See GeAttackConfig.
   /// Values >= 0 are widened to at least the explainer's own `hops` so the
   /// view always contains the computation subgraph being gated.
   int hops = -1;
@@ -50,11 +47,6 @@ class GeAttackPg : public TargetedAttack {
                       Rng* rng) const override;
 
  private:
-  AttackResult AttackDense(const AttackContext& ctx,
-                           const AttackRequest& request) const;
-  AttackResult AttackSparse(const AttackContext& ctx,
-                            const AttackRequest& request) const;
-
   const PgExplainer* explainer_;
   GeAttackPgConfig config_;
 };

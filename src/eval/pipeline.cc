@@ -46,7 +46,8 @@ std::vector<int64_t> SelectTargetNodes(const GraphData& data,
 Tensor PerturbedLogits(const AttackContext& ctx, const AttackResult& result,
                        bool sparse, bool f32_values) {
   if (!sparse) {
-    return ctx.model->LogitsFromRaw(result.adjacency, ctx.data->features);
+    return ctx.model->LogitsFromRaw(
+        DensePerturbedAdjacency(ctx, result.added_edges), ctx.data->features);
   }
   // One normalized clean CSR is shared across every target; each target
   // only patches the values incident to its added edges.
@@ -98,9 +99,8 @@ class OutcomeAggregator {
         explainer_(explainer),
         eval_config_(eval_config),
         pctx_(MakeProtocolContext(ctx, explainer)),
-        // One working graph, patched and restored per target: the
-        // inspect/defend phase never touches `result.adjacency`, so a
-        // sparse context (edge-list results only) runs the full protocol
+        // One working graph, patched and restored per target with each
+        // result's edge list, so a sparse context runs the full protocol
         // with nothing n x n in sight.
         work_(ctx.data->graph) {}
 
@@ -207,7 +207,7 @@ JointAttackOutcome EvaluateAttack(const AttackContext& ctx,
     // Thread-pool driver: independent per-target streams seeded off one
     // draw from `rng`, so the whole evaluation still replays from the
     // caller's single seed.  Buffering every result is inherent to the
-    // fan-out (and bounded: sparse contexts carry edge lists only).
+    // fan-out (and bounded: results are edge lists).
     std::vector<AttackRequest> requests;
     requests.reserve(targets.size());
     for (const PreparedTarget& t : targets)
@@ -223,17 +223,23 @@ JointAttackOutcome EvaluateAttack(const AttackContext& ctx,
     for (size_t i = 0; i < targets.size(); ++i) tally(targets[i], results[i]);
   } else {
     // Legacy serial loop on the shared rng stream, one live result at a
-    // time (a dense-context AttackResult holds an n x n adjacency).  The
-    // fault-containment wrapping changes nothing on a clean run: tokens
-    // default disarmed (every Cancelled() poll is false, so the attack
-    // takes identical branches) and rng consumption is untouched, which
-    // keeps the fixed-seed integration pins bit-identical.
+    // time.  The fault-containment wrapping changes nothing on a clean
+    // run: tokens default disarmed (every Cancelled() poll is false, so the
+    // attack takes identical branches) and rng consumption is untouched,
+    // which keeps the fixed-seed integration pins bit-identical.  Deadlines
+    // that cannot be armed reject every target, as the driver does.
+    const Status deadlines = CheckDeadlines(eval_config.run_deadline_ms,
+                                            eval_config.target_deadline_ms);
     CancellationToken run_token;
-    run_token.SetDeadlineAfterMs(eval_config.run_deadline_ms);
+    if (deadlines.ok())
+      run_token.SetDeadlineAfterMs(eval_config.run_deadline_ms);
     for (const PreparedTarget& t : targets) {
       AttackResult result;
-      if (t.node < 0 || t.node >= ctx.data->num_nodes() || t.target_label < -1 ||
-          t.target_label >= ctx.data->num_classes || t.budget < 0) {
+      if (!deadlines.ok()) {
+        result.status = deadlines;
+      } else if (t.node < 0 || t.node >= ctx.data->num_nodes() ||
+                 t.target_label < -1 ||
+                 t.target_label >= ctx.data->num_classes || t.budget < 0) {
         result.status = Status::InvalidArgument(
             "invalid prepared target (node " + std::to_string(t.node) + ")");
       } else if (run_token.Expired()) {

@@ -63,7 +63,7 @@ std::vector<PreparedTarget> PrepareTargets(const AttackContext& ctx,
                                            Rng* rng, bool sparse = false);
 
 /// Victim logits on an attack's perturbed graph.  Dense mode normalizes and
-/// multiplies the n x n adjacency (O(n²·h)); sparse mode applies
+/// multiplies DensePerturbedAdjacency (O(n²·h)); sparse mode applies
 /// `result.added_edges` to the clean CSR adjacency incrementally and runs
 /// the SpMM forward (O(|E|·h)).  Both agree to floating-point roundoff.
 /// `f32_values` additionally stores the sparse adjacency values as float32
@@ -128,7 +128,9 @@ struct EvalConfig {
   /// counted in num_timed_out instead of the means.
   double target_deadline_ms = 0.0;
   /// Whole-run attack-phase deadline in milliseconds (<= 0 = none); targets
-  /// starting after it are counted in num_skipped without running.
+  /// starting after it are counted in num_skipped without running.  When
+  /// either deadline fails CheckDeadlines (src/attack/driver.h), no target
+  /// runs and every one counts in num_failed.
   double run_deadline_ms = 0.0;
   /// Non-empty enables the driver's checkpoint journal (attack_threads >= 1
   /// only; see AttackDriverConfig::journal_path).
@@ -192,8 +194,8 @@ JointAttackOutcome EvaluateAttackOnService(
 AttackContext MakeAttackContext(const GraphData& data, const Gcn& model);
 
 /// Sparse-only twin for graphs too large to densify: clean_adjacency stays
-/// empty, attacks must run their candidate-edge paths, and AttackResults
-/// carry only added_edges (use PerturbedLogits(..., sparse=true)).
+/// empty (use PerturbedLogits(..., sparse=true)); every attacker runs on
+/// it unchanged.
 AttackContext MakeSparseAttackContext(const GraphData& data, const Gcn& model);
 
 }  // namespace geattack

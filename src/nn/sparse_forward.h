@@ -1,9 +1,10 @@
 // Differentiable sparse GCN forward over a SubgraphView's candidate-edge
-// values — the kernel of the sparse attack loops.
+// values — the kernel of the attack loops.
 //
-// The dense attack path relaxes the whole n x n adjacency to a Var; every
+// The paper's attacks relax the whole n x n adjacency to a Var; every
 // outer iteration then costs O(n²·h) in time *and* memory, which caps the
-// paper's bilevel attack at toy graphs.  Here the only free parameters are
+// bilevel attack at toy graphs (tests/sparse_attack_test.cc keeps that
+// formulation as its oracle).  Here the only free parameters are
 // an (m,1) Var of candidate-edge values (and, for the explainer inner
 // loops, an (S,1) Var of per-edge mask logits); the adjacency itself is a
 // value vector over the view's static CSR pattern.  GCN normalization is
@@ -15,7 +16,7 @@
 // by the fused GcnNormValues node, and the two-layer forward runs through
 // SpMMValues — whose backward emits SpMMValues/SpmmValueGrad nodes, so the
 // second-order hypergradient GEAttack needs is available exactly as on the
-// dense path.  Everything costs O((|E_sub| + m)·h) per evaluation.
+// n x n relaxation.  Everything costs O((|E_sub| + m)·h) per evaluation.
 //
 // Numerics match Gcn::LogitsFromRaw / GcnLogitsVar to roundoff whenever the
 // view contains every node within GCN-depth hops of the target and the

@@ -1,7 +1,6 @@
 #include "src/service/attack_service.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <utility>
@@ -16,18 +15,6 @@ std::chrono::steady_clock::time_point AfterMs(
     std::chrono::steady_clock::time_point from, double ms) {
   return from + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                     std::chrono::duration<double, std::milli>(ms));
-}
-
-/// Whether a request's relative deadline can be armed at `now`: <= 0 is
-/// "none"; otherwise it must be finite and land on the steady clock.  The
-/// second of slack covers the double-to-tick rounding and the moment
-/// between this check and arming the request's token.
-bool DeadlineFits(double ms, std::chrono::steady_clock::time_point now) {
-  if (!std::isfinite(ms)) return false;
-  if (ms <= 0.0) return true;
-  const std::chrono::duration<double, std::milli> room =
-      std::chrono::steady_clock::time_point::max() - now;
-  return ms < room.count() - 1000.0;
 }
 
 /// Unique churn endpoints, for ball-overlap checks.
@@ -71,15 +58,14 @@ AttackService::~AttackService() {
 
 Status AttackService::RegisterGraph(
     const std::string& version, const GraphData& data, const Gcn& model,
-    std::shared_ptr<const TargetedAttack> attack, bool dense_context) {
+    std::shared_ptr<const TargetedAttack> attack) {
   if (version.empty())
     return Status::InvalidArgument("graph version name must be non-empty");
   if (attack == nullptr)
     return Status::InvalidArgument("graph registration needs an attack");
   // The epoch-0 snapshot (copies + normalization) is built outside mu_ so a
   // large registration does not stall Submit/Take on other versions.
-  auto snap =
-      MakeGraphSnapshot(version, data, model, std::move(attack), dense_context);
+  auto snap = MakeGraphSnapshot(version, data, model, std::move(attack));
   std::lock_guard<std::mutex> lock(mu_);
   if (graphs_.count(version) != 0)
     return Status::InvalidArgument("graph version '" + version +
@@ -294,14 +280,7 @@ RecoveryReport AttackService::Recover() {
                                         e->attempt - 1)
                           : 0;
         e->out.effective_budget = rec.effective_budget;
-        AttackResult result = rec.result;
-        const StatusCode code = result.status.code();
-        // The same bits the attack returned (and the driver journal's
-        // rebuild).
-        if (code == StatusCode::kOk || code == StatusCode::kTimedOut)
-          result.adjacency =
-              DensePerturbedAdjacency(e->snap->ctx, result.added_edges);
-        Finalize(e, std::move(result), /*from_replay=*/true);
+        Finalize(e, rec.result, /*from_replay=*/true);
         ++stats_.replayed_results;
         ++report.replayed_results;
         report.completed_tickets.push_back(rec.ticket);

@@ -281,16 +281,14 @@ class AttackService {
 
   /// Registers a graph version at epoch 0, COPYING `data` and `model` into
   /// a service-owned immutable snapshot (derived context bit-identical to
-  /// MakeSparseAttackContext / MakeAttackContext on the same inputs, so
-  /// offline references built by the caller still match).  `attack` is
+  /// MakeSparseAttackContext on the same inputs, so offline references the
+  /// caller runs on either context still match).  `attack` is
   /// shared, not copied.  Re-registering a name is an error — snapshots
   /// are immutable; churn happens through UpdateGraph, which publishes the
-  /// next epoch under the same name.  `dense_context` additionally
-  /// materializes the dense clean adjacency (small reference graphs only).
+  /// next epoch under the same name.
   Status RegisterGraph(const std::string& version, const GraphData& data,
                        const Gcn& model,
-                       std::shared_ptr<const TargetedAttack> attack,
-                       bool dense_context = false);
+                       std::shared_ptr<const TargetedAttack> attack);
 
   /// Applies one atomic churn batch to `version`, publishing the next
   /// epoch.  Validation is all-or-nothing: any malformed entry (range,

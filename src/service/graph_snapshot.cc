@@ -65,18 +65,17 @@ std::vector<Edge> ChurnEdgesOf(const std::vector<ChurnEdge>& entries) {
 
 std::shared_ptr<const GraphSnapshot> MakeGraphSnapshot(
     const std::string& version, const GraphData& data, const Gcn& model,
-    std::shared_ptr<const TargetedAttack> attack, bool dense) {
+    std::shared_ptr<const TargetedAttack> attack) {
   GEA_CHECK(!version.empty());
   GEA_CHECK(attack != nullptr);
   auto snap = std::make_shared<GraphSnapshot>();
   snap->version = version;
   snap->epoch = 0;
-  snap->dense = dense;
   snap->data = data;
   snap->model = std::make_shared<const Gcn>(model);
   snap->attack = std::move(attack);
-  // Exactly the MakeSparseAttackContext / MakeAttackContext recipe
-  // (src/eval/pipeline.cc) over the snapshot-owned copies, pinned by
+  // Exactly the MakeSparseAttackContext recipe (src/eval/pipeline.cc)
+  // over the snapshot-owned copies, pinned by
   // tests/live_graph_test.cc, so epoch 0 is bit-identical to the caller's
   // own offline context.
   AttackContext& ctx = snap->ctx;
@@ -88,7 +87,6 @@ std::shared_ptr<const GraphSnapshot> MakeGraphSnapshot(
   for (int64_t i = 0; i < snap->data.num_nodes(); ++i)
     ctx.clean_degp1.at(i, 0) =
         static_cast<double>(snap->data.graph.Degree(i)) + 1.0;
-  if (dense) ctx.clean_adjacency = snap->data.graph.DenseAdjacency();
   return snap;
 }
 
@@ -103,7 +101,6 @@ std::shared_ptr<const GraphSnapshot> ApplyChurn(
   auto next = std::make_shared<GraphSnapshot>();
   next->version = prev->version;
   next->epoch = prev->epoch + 1;
-  next->dense = prev->dense;
   next->data = prev->data;
   next->model = prev->model;
   next->attack = prev->attack;
@@ -128,20 +125,9 @@ std::shared_ptr<const GraphSnapshot> ApplyChurn(
     ctx.clean_degp1.at(e.u, 0) -= 1.0;
     ctx.clean_degp1.at(e.v, 0) -= 1.0;
   }
-  if (next->dense) {
-    ctx.clean_adjacency = prev->ctx.clean_adjacency;
-    for (const Edge& e : added) AddEdgeDense(&ctx.clean_adjacency, e.u, e.v);
-    for (const Edge& e : removed) {
-      ctx.clean_adjacency.at(e.u, e.v) = 0.0;
-      ctx.clean_adjacency.at(e.v, e.u) = 0.0;
-    }
-    // Fresh scratch: the dense cached penalty base B = 11ᵀ − I − A depends
-    // on the adjacency this epoch changed.
-  } else {
-    // The sparse caches (folded forward, X·W₁) are functions of features
-    // and weights only — both shared across epochs — so reuse them.
-    ctx.scratch = prev->ctx.scratch;
-  }
+  // The cached folded forward (X·W₁) is a function of features and
+  // weights only — both shared across epochs — so reuse it.
+  ctx.scratch = prev->ctx.scratch;
   return next;
 }
 

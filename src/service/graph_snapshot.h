@@ -80,9 +80,6 @@ struct GraphSnapshot {
 
   std::string version;
   int64_t epoch = 0;
-  /// Whether ctx carries a dense clean_adjacency (small-graph reference
-  /// paths); sparse-only snapshots never densify.
-  bool dense = false;
   GraphData data;
   std::shared_ptr<const Gcn> model;            ///< Shared across epochs.
   std::shared_ptr<const TargetedAttack> attack;  ///< Shared across epochs.
@@ -91,18 +88,17 @@ struct GraphSnapshot {
 
 /// Builds epoch 0 of `version` by copying `data` and `model` into the
 /// snapshot and deriving the context with exactly the
-/// MakeSparseAttackContext / MakeAttackContext recipe, so service results
-/// are bit-identical to an offline driver run on the caller's own context.
+/// MakeSparseAttackContext recipe, so service results are bit-identical to
+/// an offline driver run on the caller's own context.
 std::shared_ptr<const GraphSnapshot> MakeGraphSnapshot(
     const std::string& version, const GraphData& data, const Gcn& model,
-    std::shared_ptr<const TargetedAttack> attack, bool dense);
+    std::shared_ptr<const TargetedAttack> attack);
 
 /// Applies a VALIDATED batch to `prev`, producing the next epoch.  All
 /// derived state is maintained incrementally yet bit-identical to a fresh
-/// build (see file comment).  Sparse-only snapshots share `prev`'s
-/// AttackScratch (its cached X·W₁ fold is graph-independent); dense
-/// snapshots get a fresh scratch because the cached penalty base depends on
-/// the adjacency.  GEA_CHECKs on unvalidated input.
+/// build (see file comment).  The next epoch shares `prev`'s AttackScratch
+/// (its cached X·W₁ fold is graph-independent).  GEA_CHECKs on
+/// unvalidated input.
 std::shared_ptr<const GraphSnapshot> ApplyChurn(
     const std::shared_ptr<const GraphSnapshot>& prev, const ChurnBatch& batch);
 

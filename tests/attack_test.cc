@@ -89,7 +89,7 @@ TEST_P(AttackPropertyTest, RespectsInvariants) {
     // Budget respected.
     EXPECT_LE(static_cast<int64_t>(result.added_edges.size()), t.budget);
     // Symmetric, zero-diagonal, add-only, direct.
-    const Tensor& a = result.adjacency;
+    const Tensor a = DensePerturbedAdjacency(f->ctx, result.added_edges);
     EXPECT_LE(a.MaxAbsDiff(a.Transposed()), 0.0);
     int64_t changed = 0;
     for (int64_t u = 0; u < a.rows(); ++u) {
@@ -147,8 +147,9 @@ double MeasureAsrT(const TargetedAttack& attack, int64_t max_targets = 6) {
     ++total;
     AttackRequest req{t.node, t.target_label, t.budget};
     AttackResult result = attack.Attack(f->ctx, req, &rng);
-    if (PredictsLabel(*f->model, result.adjacency, f->data.features, t.node,
-                      t.target_label))
+    if (PredictsLabel(*f->model,
+                      DensePerturbedAdjacency(f->ctx, result.added_edges),
+                      f->data.features, t.node, t.target_label))
       ++success;
   }
   return total == 0 ? 0.0
@@ -205,8 +206,8 @@ TEST(NettackTest, DegreeTestCanRejectCandidates) {
 TEST(DirectAddCandidatesTest, ExcludesNeighborsAndSelf) {
   AttackFixture* f = SharedFixture();
   const int64_t v = f->targets[0].node;
-  auto candidates =
-      DirectAddCandidates(f->ctx.clean_adjacency, v, f->data.labels, -1);
+  auto candidates = DirectAddCandidates(*f->ctx.clean_csr.pattern(), v,
+                                        f->data.labels, -1);
   for (int64_t j : candidates) {
     EXPECT_NE(j, v);
     EXPECT_DOUBLE_EQ(f->ctx.clean_adjacency.at(v, j), 0.0);

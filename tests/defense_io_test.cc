@@ -61,10 +61,10 @@ TEST(GradExplainerTest, RanksLoadBearingAdversarialEdgeHighly) {
   ASSERT_FALSE(result.added_edges.empty());
 
   GradExplainer explainer(f->model.get(), &f->data.features);
-  const Tensor logits =
-      f->model->LogitsFromRaw(result.adjacency, f->data.features);
-  const Explanation e = explainer.Explain(result.adjacency, t.node,
-                                          logits.ArgMaxRow(t.node));
+  const Tensor attacked = DensePerturbedAdjacency(f->ctx, result.added_edges);
+  const Tensor logits = f->model->LogitsFromRaw(attacked, f->data.features);
+  const Explanation e =
+      explainer.Explain(attacked, t.node, logits.ArgMaxRow(t.node));
   // At least one adversarial edge within the top-10 saliency ranking.
   bool found = false;
   for (const Edge& edge : result.added_edges)
@@ -98,15 +98,16 @@ TEST(InspectorDefenseTest, RecoversFromGradientAttack) {
     AttackRequest req{t.node, t.target_label, t.budget};
     const AttackResult result =
         FgaAttack(/*targeted=*/true).Attack(f->ctx, req, &rng);
-    const Tensor logits =
-        f->model->LogitsFromRaw(result.adjacency, f->data.features);
+    const Tensor perturbed =
+        DensePerturbedAdjacency(f->ctx, result.added_edges);
+    const Tensor logits = f->model->LogitsFromRaw(perturbed, f->data.features);
     if (logits.ArgMaxRow(t.node) != t.target_label) continue;
     ++attacked;
     InspectorDefenseConfig cfg;
     cfg.prune_top = 2 * t.budget;  // Analyst budget: up to all incident edges.
     const DefenseOutcome d = InspectAndPrune(
-        *f->model, f->data.features, inspector, result.adjacency, t.node,
-        cfg, &result.added_edges);
+        *f->model, f->data.features, inspector, perturbed, t.node, cfg,
+        &result.added_edges);
     if (d.prediction_after == t.true_label) ++recovered;
   }
   ASSERT_GT(attacked, 0);

@@ -121,7 +121,6 @@ TEST(DriverDeterminismTest, GeAttack) {
   // depends on the per-target RNG streams, not just on kernel order.
   GeAttackConfig cfg;
   cfg.inner_steps = 2;
-  cfg.use_sparse = true;
   ExpectIdenticalAcrossThreadCounts(GeAttack(cfg), 15);
 }
 

@@ -109,10 +109,10 @@ TEST(GnnExplainerTest, DetectsFgaAdversarialEdges) {
     AttackRequest req{t.node, t.target_label, t.budget};
     AttackResult result = fga.Attack(ctx, req, &rng);
     if (result.added_edges.empty()) continue;
-    const Tensor logits =
-        f.model.LogitsFromRaw(result.adjacency, f.data.features);
-    Explanation e = explainer.Explain(result.adjacency, t.node,
-                                      logits.ArgMaxRow(t.node));
+    const Tensor attacked = DensePerturbedAdjacency(ctx, result.added_edges);
+    const Tensor logits = f.model.LogitsFromRaw(attacked, f.data.features);
+    Explanation e =
+        explainer.Explain(attacked, t.node, logits.ArgMaxRow(t.node));
     DetectionMetrics d = ComputeDetection(e, result.added_edges, 20, 15);
     total_ndcg += d.ndcg;
     ++evaluated;
@@ -144,7 +144,8 @@ TEST(GnnExplainerTest, SparseEdgeListPathDetectsAdversarialEdges) {
     AttackRequest req{t.node, t.target_label, t.budget};
     AttackResult result = fga.Attack(ctx, req, &rng);
     if (result.added_edges.empty()) continue;
-    const Graph perturbed = Graph::FromDense(result.adjacency);
+    const Graph perturbed =
+        Graph::FromDense(DensePerturbedAdjacency(ctx, result.added_edges));
     const Tensor logits =
         f.model.LogitsFromGraph(perturbed, f.data.features);
     Explanation e = explainer.Explain(perturbed, t.node,

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -296,6 +297,55 @@ TEST(DeadlineTest, PreExpiredCallerTokenSkipsBeforeAnyStreamIsConsumed) {
   }
 }
 
+TEST(DeadlineTest, UnarmableDeadlinesRejectEveryTargetWithoutRunning) {
+  // A deadline the steady clock cannot hold (infinite, NaN, or past its
+  // ~292-year range) must not be armed: the double-to-tick cast overflows.
+  // The driver and the legacy serial loop reject every target
+  // kInvalidArgument instead, without calling the attack — no clock read
+  // decides the outcome.
+  Fixture* f = SharedFixture();
+  ASSERT_GE(f->requests.size(), 3u);
+  const FgaAttack inner(/*targeted=*/true);
+  GnnExplainerConfig icfg;
+  icfg.epochs = 5;
+  GnnExplainer inspector(f->model.get(), &f->data.features, icfg);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double ms :
+       {inf, std::numeric_limits<double>::quiet_NaN(), 1e13}) {
+    for (const bool run_field : {true, false}) {
+      const std::string at = std::string(run_field ? "run" : "target") +
+                             "_deadline_ms=" + std::to_string(ms);
+      AttackDriverConfig config;
+      config.num_threads = 2;
+      (run_field ? config.run_deadline_ms : config.target_deadline_ms) = ms;
+      FaultInjectingAttack counted(&inner);
+      const std::vector<AttackResult> results =
+          RunMultiTargetAttack(f->ctx, counted, f->requests, config);
+      EXPECT_EQ(counted.attack_calls(), 0) << at;
+      ASSERT_EQ(results.size(), f->requests.size()) << at;
+      for (const AttackResult& r : results) {
+        EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument) << at;
+        EXPECT_TRUE(r.added_edges.empty()) << at;
+      }
+
+      for (const int threads : {0, 2}) {
+        EvalConfig eval;
+        eval.attack_threads = threads;
+        (run_field ? eval.run_deadline_ms : eval.target_deadline_ms) = ms;
+        FaultInjectingAttack evaluated(&inner);
+        Rng rng(1);
+        const JointAttackOutcome outcome = EvaluateAttack(
+            f->ctx, evaluated, f->targets, inspector, eval, &rng);
+        EXPECT_EQ(evaluated.attack_calls(), 0) << at << " threads=" << threads;
+        EXPECT_EQ(outcome.num_failed,
+                  static_cast<int64_t>(f->targets.size()))
+            << at << " threads=" << threads;
+        EXPECT_EQ(outcome.num_targets, 0) << at << " threads=" << threads;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint journal: kill-and-resume equals uninterrupted.
 // ---------------------------------------------------------------------------
@@ -320,7 +370,6 @@ void ExpectSameResults(const std::vector<AttackResult>& got,
     EXPECT_EQ(got[i].status.code(), want[i].status.code()) << where;
     EXPECT_EQ(got[i].status.message(), want[i].status.message()) << where;
     ExpectSameEdges(got[i], want[i], where);
-    EXPECT_EQ(got[i].adjacency.MaxAbsDiff(want[i].adjacency), 0.0) << where;
   }
 }
 

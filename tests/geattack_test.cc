@@ -70,8 +70,9 @@ TEST(GeAttackTest, HighTargetedSuccessRate) {
   for (const auto& t : f->targets) {
     AttackRequest req{t.node, t.target_label, t.budget};
     AttackResult result = attack.Attack(f->ctx, req, &rng);
-    if (PredictsLabel(*f->model, result.adjacency, f->data.features, t.node,
-                      t.target_label))
+    if (PredictsLabel(*f->model,
+                      DensePerturbedAdjacency(f->ctx, result.added_edges),
+                      f->data.features, t.node, t.target_label))
       ++success;
   }
   EXPECT_GE(static_cast<double>(success) /
@@ -113,8 +114,9 @@ TEST(GeAttackTest, LambdaZeroMatchesPureGraphAttackSelection) {
   for (const auto& t : f->targets) {
     AttackRequest req{t.node, t.target_label, t.budget};
     AttackResult result = attack.Attack(f->ctx, req, &rng);
-    if (PredictsLabel(*f->model, result.adjacency, f->data.features, t.node,
-                      t.target_label))
+    if (PredictsLabel(*f->model,
+                      DensePerturbedAdjacency(f->ctx, result.added_edges),
+                      f->data.features, t.node, t.target_label))
       ++success;
   }
   EXPECT_GE(static_cast<double>(success) /
@@ -151,7 +153,6 @@ TEST(GeAttackTest, BudgetZeroIsNoop) {
   AttackRequest req{t.node, t.target_label, /*budget=*/0};
   AttackResult result = attack.Attack(f->ctx, req, &rng);
   EXPECT_TRUE(result.added_edges.empty());
-  EXPECT_LE(result.adjacency.MaxAbsDiff(f->ctx.clean_adjacency), 0.0);
 }
 
 TEST(GeAttackPgTest, AttacksAndEvadesPgExplainer) {

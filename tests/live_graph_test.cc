@@ -192,8 +192,8 @@ TEST(ChurnValidationTest, MalformedBatchesRejectAtomicallyWithZeroMutation) {
   AttackServiceConfig cfg;
   cfg.base_seed = 11;
   AttackService service(cfg);
-  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model, NoOwn(&inner),
-                                    /*dense_context=*/true).ok());
+  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model,
+                                    NoOwn(&inner)).ok());
   const auto before = service.CurrentSnapshot("g");
   ASSERT_NE(before, nullptr);
   const int64_t n = f->data.num_nodes();
@@ -333,48 +333,36 @@ TEST(SnapshotTest, ApplyChurnMatchesFreshContextBitIdentical) {
   for (const Edge& e : adds) ASSERT_TRUE(churned.graph.AddEdge(e.u, e.v));
   for (const Edge& e : rems) ASSERT_TRUE(churned.graph.RemoveEdge(e.u, e.v));
 
-  for (const bool dense : {true, false}) {
-    const std::string where = dense ? "dense" : "sparse";
-    const auto prev =
-        MakeGraphSnapshot("v", f->data, *f->model, NoOwn(&inner), dense);
-    ASSERT_TRUE(ValidateChurnBatch(prev->data.graph, batch).ok());
-    const auto next = ApplyChurn(prev, batch);
-    EXPECT_EQ(next->epoch, 1) << where;
-    EXPECT_EQ(next->version, "v") << where;
-    EXPECT_EQ(next->model.get(), prev->model.get()) << where;
-    EXPECT_EQ(next->attack.get(), prev->attack.get()) << where;
+  const auto prev =
+      MakeGraphSnapshot("v", f->data, *f->model, NoOwn(&inner));
+  ASSERT_TRUE(ValidateChurnBatch(prev->data.graph, batch).ok());
+  const auto next = ApplyChurn(prev, batch);
+  EXPECT_EQ(next->epoch, 1);
+  EXPECT_EQ(next->version, "v");
+  EXPECT_EQ(next->model.get(), prev->model.get());
+  EXPECT_EQ(next->attack.get(), prev->attack.get());
+  EXPECT_EQ(next->ctx.scratch.get(), prev->ctx.scratch.get());
 
-    // Every derived field must be the exact bits a from-scratch context
-    // build on the churned graph produces.
-    const AttackContext fresh = dense
-                                    ? MakeAttackContext(churned, *f->model)
-                                    : MakeSparseAttackContext(churned,
-                                                              *f->model);
-    ExpectSameCsr(next->ctx.clean_csr, fresh.clean_csr, where + " clean_csr");
-    ExpectSameCsr(next->ctx.clean_norm_csr, fresh.clean_norm_csr,
-                  where + " clean_norm_csr");
-    EXPECT_EQ(next->ctx.clean_degp1.data(), fresh.clean_degp1.data())
-        << where << " clean_degp1";
-    if (dense) {
-      ASSERT_EQ(next->ctx.clean_adjacency.rows(),
-                fresh.clean_adjacency.rows()) << where;
-      EXPECT_EQ(next->ctx.clean_adjacency.data(),
-                fresh.clean_adjacency.data()) << where << " clean_adjacency";
-    } else {
-      EXPECT_EQ(next->ctx.clean_adjacency.rows(), 0) << where;
-    }
+  // Every derived field must be the exact bits a from-scratch context
+  // build on the churned graph produces.
+  const AttackContext fresh = MakeSparseAttackContext(churned, *f->model);
+  ExpectSameCsr(next->ctx.clean_csr, fresh.clean_csr, "clean_csr");
+  ExpectSameCsr(next->ctx.clean_norm_csr, fresh.clean_norm_csr,
+                "clean_norm_csr");
+  EXPECT_EQ(next->ctx.clean_degp1.data(), fresh.clean_degp1.data())
+      << "clean_degp1";
+  EXPECT_EQ(next->ctx.clean_adjacency.rows(), 0);
 
-    // The Graph mirror advanced — and the PREVIOUS epoch did not move.
-    for (const Edge& e : adds) {
-      EXPECT_TRUE(next->data.graph.HasEdge(e.u, e.v)) << where;
-      EXPECT_FALSE(prev->data.graph.HasEdge(e.u, e.v)) << where;
-    }
-    for (const Edge& e : rems) {
-      EXPECT_FALSE(next->data.graph.HasEdge(e.u, e.v)) << where;
-      EXPECT_TRUE(prev->data.graph.HasEdge(e.u, e.v)) << where;
-    }
-    EXPECT_EQ(prev->epoch, 0) << where;
+  // The Graph mirror advanced — and the PREVIOUS epoch did not move.
+  for (const Edge& e : adds) {
+    EXPECT_TRUE(next->data.graph.HasEdge(e.u, e.v));
+    EXPECT_FALSE(prev->data.graph.HasEdge(e.u, e.v));
   }
+  for (const Edge& e : rems) {
+    EXPECT_FALSE(next->data.graph.HasEdge(e.u, e.v));
+    EXPECT_TRUE(prev->data.graph.HasEdge(e.u, e.v));
+  }
+  EXPECT_EQ(prev->epoch, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -395,8 +383,8 @@ TEST(LiveEpochTest, InFlightWaveFinishesOnItsDispatchSnapshot) {
   cfg.wave_size = 1;
   cfg.queue_capacity = 8;
   AttackService service(cfg);
-  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model, NoOwn(&attack),
-                                    /*dense_context=*/true).ok());
+  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model,
+                                    NoOwn(&attack)).ok());
 
   AttackServiceRequest parked;
   parked.graph = "g";
@@ -512,8 +500,7 @@ std::pair<ChurnResult, ServiceResult> RunBallScript(
   cfg.queue_capacity = 8;
   cfg.churn_ball_hops = 2;  // == GeAttackConfig::hops, the proof's floor.
   AttackService service(cfg);
-  GEA_CHECK(service.RegisterGraph("g", s.data, *s.model, NoOwn(&attack),
-                                  /*dense_context=*/false).ok());
+  GEA_CHECK(service.RegisterGraph("g", s.data, *s.model, NoOwn(&attack)).ok());
 
   AttackServiceRequest parked;
   parked.graph = "g";
@@ -646,8 +633,8 @@ TEST(WalRecoveryTest, ReplayIsByteIdenticalAndTornTailRecomputes) {
   std::vector<ServiceResult> original(6);
   {
     AttackService service(cfg);
-    ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model, NoOwn(&inner),
-                                      /*dense_context=*/true).ok());
+    ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model,
+                                      NoOwn(&inner)).ok());
     const RecoveryReport blank = service.Recover();
     ASSERT_TRUE(blank.status.ok()) << blank.status.ToString();
     EXPECT_EQ(blank.churn_batches, 0);
@@ -670,8 +657,8 @@ TEST(WalRecoveryTest, ReplayIsByteIdenticalAndTornTailRecomputes) {
   // --- Crash + recover: everything must come back from records alone. ---
   {
     AttackService service(cfg);
-    ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model, NoOwn(&inner),
-                                      /*dense_context=*/true).ok());
+    ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model,
+                                      NoOwn(&inner)).ok());
     const RecoveryReport rec = service.Recover();
     ASSERT_TRUE(rec.status.ok()) << rec.status.ToString();
     EXPECT_EQ(rec.churn_batches, 1);
@@ -707,8 +694,8 @@ TEST(WalRecoveryTest, ReplayIsByteIdenticalAndTornTailRecomputes) {
   }
   {
     AttackService service(cfg);
-    ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model, NoOwn(&inner),
-                                      /*dense_context=*/true).ok());
+    ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model,
+                                      NoOwn(&inner)).ok());
     const RecoveryReport rec = service.Recover();
     ASSERT_TRUE(rec.status.ok()) << rec.status.ToString();
     EXPECT_EQ(rec.replayed_results, 5);

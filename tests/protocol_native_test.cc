@@ -30,7 +30,8 @@ struct Fixture {
   Gcn model;
   AttackContext ctx;          // Dense + sparse.
   PreparedTarget target;      // One FGA-flippable victim.
-  AttackResult attacked;      // FGA-T result at `target` (dense + edges).
+  AttackResult attacked;      // FGA-T result at `target`.
+  Tensor attacked_dense;      // DensePerturbedAdjacency of its edges.
   Graph perturbed;            // Clean graph + attacked.added_edges.
   int64_t predicted = -1;     // Post-attack prediction at the target.
 };
@@ -52,7 +53,8 @@ Fixture* SharedFixture() {
     auto* fx = new Fixture{std::move(data),     std::move(split),
                            std::move(model),    AttackContext{},
                            PreparedTarget{},    AttackResult{},
-                           Graph(0),            -1};
+                           Tensor(),            Graph(0),
+                           -1};
     fx->ctx = MakeAttackContext(fx->data, fx->model);
 
     const auto prepared = PrepareTargets(fx->ctx, fx->split.test, &rng);
@@ -64,12 +66,13 @@ Fixture* SharedFixture() {
                       fx->target.budget};
     Rng attack_rng(21);
     fx->attacked = fga.Attack(fx->ctx, req, &attack_rng);
+    fx->attacked_dense =
+        DensePerturbedAdjacency(fx->ctx, fx->attacked.added_edges);
     fx->perturbed = fx->data.graph;
     for (const Edge& e : fx->attacked.added_edges)
       fx->perturbed.AddEdge(e.u, e.v);
     fx->predicted = fx->model
-                        .LogitsFromRaw(fx->attacked.adjacency,
-                                       fx->data.features)
+                        .LogitsFromRaw(fx->attacked_dense, fx->data.features)
                         .ArgMaxRow(fx->target.node);
     return fx;
   }();
@@ -98,7 +101,7 @@ void CheckExplainerBitIdentity(const Explainer& explainer) {
       explainer.Explain(f->data.graph, f->target.node, f->target.true_label));
   // Attacked graph, post-attack prediction (the §5.1 inspect step).
   ExpectIdenticalRanking(
-      explainer.Explain(f->attacked.adjacency, f->target.node, f->predicted),
+      explainer.Explain(f->attacked_dense, f->target.node, f->predicted),
       explainer.Explain(f->perturbed, f->target.node, f->predicted));
 }
 
@@ -139,7 +142,7 @@ void CheckDefenseBitIdentity(const Explainer& explainer, bool iterative) {
   cfg.iterative = iterative;
 
   const DefenseOutcome dense = InspectAndPrune(
-      f->model, f->data.features, explainer, f->attacked.adjacency,
+      f->model, f->data.features, explainer, f->attacked_dense,
       f->target.node, cfg, &f->attacked.added_edges);
   const ProtocolContext pctx = MakeProtocolContext(f->ctx, explainer);
   const DefenseOutcome native =
@@ -213,7 +216,7 @@ TEST(ProtocolNativeTest, PredictAtNodeMatchesFullForward) {
   }
   // And on the perturbed graph at the target.
   const Tensor perturbed_full =
-      f->model.LogitsFromRaw(f->attacked.adjacency, f->data.features);
+      f->model.LogitsFromRaw(f->attacked_dense, f->data.features);
   EXPECT_EQ(PredictAtNode(pctx, f->perturbed, f->target.node),
             perturbed_full.ArgMaxRow(f->target.node));
 }

@@ -254,8 +254,8 @@ TEST(ServiceDeterminismTest, FirstAttemptPicksMatchOfflineDriverEverywhere) {
       cfg.wave_size = wave;
       cfg.queue_capacity = 64;
       AttackService service(cfg);
-      ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model, NoOwn(&inner),
-                                    /*dense_context=*/true).ok());
+      ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model,
+                                        NoOwn(&inner)).ok());
 
       std::vector<int64_t> tickets;
       for (size_t i = 0; i < n; ++i) {
@@ -310,11 +310,11 @@ TEST(ServiceAdmissionTest, StructuredRejectionsAndUnknownTickets) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(service.RegisterGraph("g", f->data, *f->model, nullptr).code(),
             StatusCode::kInvalidArgument);
-  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model, NoOwn(&inner),
-                                    /*dense_context=*/true).ok());
-  EXPECT_EQ(service.RegisterGraph("g", f->data, *f->model, NoOwn(&inner),
-                                    /*dense_context=*/true).code(),
-            StatusCode::kInvalidArgument);  // Versions are immutable.
+  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model,
+                                    NoOwn(&inner)).ok());
+  EXPECT_EQ(
+      service.RegisterGraph("g", f->data, *f->model, NoOwn(&inner)).code(),
+      StatusCode::kInvalidArgument);  // Versions are immutable.
 
   AttackServiceRequest base;
   base.graph = "g";
@@ -410,8 +410,8 @@ TEST(ServiceAdmissionTest, BoundedQueueRejectsAtCapacityAndRecovers) {
   cfg.queue_capacity = 2;
   cfg.wave_size = 1;
   AttackService service(cfg);
-  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model, NoOwn(&faulty),
-                                    /*dense_context=*/true).ok());
+  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model,
+                                    NoOwn(&faulty)).ok());
 
   auto submit = [&](size_t i) {
     AttackServiceRequest req;
@@ -478,8 +478,8 @@ TEST(ServiceCancelTest, QueuedCancellationSkipsWithoutConsumingStream) {
   cfg.queue_capacity = 8;
   cfg.wave_size = 1;
   AttackService service(cfg);
-  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model, NoOwn(&faulty),
-                                    /*dense_context=*/true).ok());
+  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model,
+                                    NoOwn(&faulty)).ok());
 
   auto submit = [&](size_t i) {
     AttackServiceRequest req;
@@ -547,8 +547,8 @@ TEST(ServiceRetryTest, DeterministicFaultExhaustsAttemptsWithDistinctStreams) {
   cfg.max_attempts = 3;
   cfg.retry_backoff_ms = 0.1;
   AttackService service(cfg);
-  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model, NoOwn(&faulty),
-                                    /*dense_context=*/true).ok());
+  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model,
+                                    NoOwn(&faulty)).ok());
 
   std::vector<int64_t> tickets;
   for (size_t i = 0; i < n; ++i) {
@@ -608,8 +608,8 @@ TEST(ServiceRetryTest, TransientFaultRetriesToSuccessAndReplaysOffline) {
   cfg.max_attempts = 2;
   cfg.retry_backoff_ms = 0.1;
   AttackService service(cfg);
-  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model, NoOwn(&flaky),
-                                    /*dense_context=*/true).ok());
+  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model,
+                                    NoOwn(&flaky)).ok());
 
   std::vector<int64_t> tickets;
   for (size_t i = 0; i < n; ++i) {
@@ -666,8 +666,8 @@ TEST(ServiceRetryTest, RetryThatFindsQueueFullIsFinalizedWithItsFailure) {
   cfg.wave_size = 1;
   cfg.max_attempts = 3;
   AttackService service(cfg);
-  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model, NoOwn(&latched),
-                                    /*dense_context=*/true).ok());
+  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model,
+                                    NoOwn(&latched)).ok());
   auto submit = [&](size_t i) {
     AttackServiceRequest req;
     req.graph = "g";
@@ -737,8 +737,8 @@ TEST(ServiceOverloadTest, ShedsLowestPriorityFirstSurvivorsIdentical) {
   cfg.wave_size = 4;
   cfg.shed_watermark = 4;
   AttackService service(cfg);
-  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model, NoOwn(&faulty),
-                                    /*dense_context=*/true).ok());
+  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model,
+                                    NoOwn(&faulty)).ok());
 
   AttackServiceRequest slow_req;
   slow_req.graph = "g";
@@ -812,8 +812,8 @@ TEST(ServiceOverloadTest, DegradedWavesCapBudgetAndReplayOffline) {
   cfg.degrade_watermark = 2;
   cfg.degraded_budget_cap = 1;
   AttackService service(cfg);
-  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model, NoOwn(&faulty),
-                                    /*dense_context=*/true).ok());
+  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model,
+                                    NoOwn(&faulty)).ok());
 
   auto make_req = [&](size_t pick) {
     AttackServiceRequest req;
@@ -888,8 +888,8 @@ TEST(ServiceLifecycleTest, StopFinalizesQueuedAsStructuredRejection) {
   cfg.queue_capacity = 8;
   cfg.wave_size = 1;
   AttackService service(cfg);
-  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model, NoOwn(&faulty),
-                                    /*dense_context=*/true).ok());
+  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model,
+                                    NoOwn(&faulty)).ok());
 
   auto submit = [&](size_t i) {
     AttackServiceRequest req;
@@ -954,8 +954,8 @@ TEST(ServiceSoakTest, OpenLoopFaultSoakLosesNothingAtAnyThreadCount) {
     cfg.max_attempts = 2;
     cfg.retry_backoff_ms = 0.2;
     AttackService service(cfg);
-    ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model, NoOwn(&faulty),
-                                    /*dense_context=*/true).ok());
+    ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model,
+                                      NoOwn(&faulty)).ok());
     const std::string knobs = "threads=" + std::to_string(threads);
 
     // Open-loop submission: a fixed arrival schedule that does not wait for
@@ -1133,7 +1133,7 @@ TEST(PipelineServiceTest, EvaluateAttackOnServiceMatchesDriverPath) {
   scfg.queue_capacity = 64;
   AttackService service(scfg);
   ASSERT_TRUE(service.RegisterGraph("snapshot-1", f->data, *f->model,
-                                    NoOwn(&inner), /*dense_context=*/true).ok());
+                                    NoOwn(&inner)).ok());
 
   EvalConfig ecfg;
   const JointAttackOutcome svc = EvaluateAttackOnService(
@@ -1169,8 +1169,8 @@ TEST(ServiceRaceTest, StopRacesSubmitChurnAndTake) {
   cfg.wave_size = 2;
   cfg.queue_capacity = 16;
   AttackService service(cfg);
-  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model, NoOwn(&inner),
-                                    /*dense_context=*/true).ok());
+  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model,
+                                    NoOwn(&inner)).ok());
 
   // A chord the churner toggles on and off; any absent pair works.
   int64_t chord_u = -1;
