@@ -11,6 +11,34 @@ Graph::Graph(int64_t num_nodes) : adj_(ZU(num_nodes)) {
   GEA_CHECK(num_nodes >= 0);
 }
 
+const Graph::Row& Graph::row(int64_t u) const {
+  static const Row empty;
+  const std::shared_ptr<Row>& r = adj_[ZU(u)];
+  return r != nullptr ? *r : empty;
+}
+
+// Copy-on-write.  A row another graph still holds is copied before the
+// write, so that graph keeps its contents.  A row this graph holds alone is
+// written in place; but libstdc++'s use_count() is a relaxed load, so
+// reading 1 does not order this write after the reads the other, former
+// owners made before they dropped their handles.  Copying the handle does:
+// the copy is an acq_rel increment of the same count, and it reads the value
+// those release decrements left, so it synchronizes with them.  The copy is
+// dropped at once.  (An acquire fence would do under the C++ memory model,
+// but ThreadSanitizer does not model fences: GCC warns "not supported with
+// -fsanitize=thread", an error under this build's -Werror.)
+Graph::Row& Graph::MutableRow(int64_t u) {
+  std::shared_ptr<Row>& r = adj_[ZU(u)];
+  if (r == nullptr) {
+    r = std::make_shared<Row>();
+  } else if (r.use_count() > 1) {
+    r = std::make_shared<Row>(*r);
+  } else {
+    const std::shared_ptr<Row> acquire = r;
+  }
+  return *r;
+}
+
 Graph Graph::FromDense(const Tensor& adjacency) {
   GEA_CHECK(adjacency.rows() == adjacency.cols());
   Graph g(adjacency.rows());
@@ -27,42 +55,42 @@ Graph Graph::FromDense(const Tensor& adjacency) {
 bool Graph::AddEdge(int64_t u, int64_t v) {
   GEA_CHECK(u >= 0 && u < num_nodes() && v >= 0 && v < num_nodes());
   if (u == v) return false;
-  if (adj_[ZU(u)].count(v)) return false;
-  adj_[ZU(u)].insert(v);
-  adj_[ZU(v)].insert(u);
+  if (row(u).count(v)) return false;
+  MutableRow(u).insert(v);
+  MutableRow(v).insert(u);
   ++num_edges_;
   return true;
 }
 
 bool Graph::RemoveEdge(int64_t u, int64_t v) {
   GEA_CHECK(u >= 0 && u < num_nodes() && v >= 0 && v < num_nodes());
-  if (!adj_[ZU(u)].count(v)) return false;
-  adj_[ZU(u)].erase(v);
-  adj_[ZU(v)].erase(u);
+  if (!row(u).count(v)) return false;
+  MutableRow(u).erase(v);
+  MutableRow(v).erase(u);
   --num_edges_;
   return true;
 }
 
 bool Graph::HasEdge(int64_t u, int64_t v) const {
   GEA_CHECK(u >= 0 && u < num_nodes() && v >= 0 && v < num_nodes());
-  return adj_[ZU(u)].count(v) > 0;
+  return row(u).count(v) > 0;
 }
 
 int64_t Graph::Degree(int64_t u) const {
   GEA_CHECK(u >= 0 && u < num_nodes());
-  return static_cast<int64_t>(adj_[ZU(u)].size());
+  return static_cast<int64_t>(row(u).size());
 }
 
 const std::set<int64_t>& Graph::Neighbors(int64_t u) const {
   GEA_CHECK(u >= 0 && u < num_nodes());
-  return adj_[ZU(u)];
+  return row(u);
 }
 
 std::vector<Edge> Graph::Edges() const {
   std::vector<Edge> edges;
   edges.reserve(ZU(num_edges_));
   for (int64_t u = 0; u < num_nodes(); ++u)
-    for (int64_t v : adj_[ZU(u)])
+    for (int64_t v : row(u))
       if (u < v) edges.emplace_back(u, v);
   return edges;
 }
@@ -70,7 +98,7 @@ std::vector<Edge> Graph::Edges() const {
 Tensor Graph::DenseAdjacency() const {
   Tensor a(num_nodes(), num_nodes());
   for (int64_t u = 0; u < num_nodes(); ++u)
-    for (int64_t v : adj_[ZU(u)]) a.at(u, v) = 1.0;
+    for (int64_t v : row(u)) a.at(u, v) = 1.0;
   return a;
 }
 
@@ -82,8 +110,8 @@ CsrMatrix Graph::CsrAdjacency() const {
   pattern->row_ptr.push_back(0);
   pattern->col_idx.reserve(ZU(2 * num_edges_));
   for (int64_t u = 0; u < n; ++u) {
-    pattern->col_idx.insert(pattern->col_idx.end(), adj_[ZU(u)].begin(),
-                            adj_[ZU(u)].end());
+    const Row& r = row(u);
+    pattern->col_idx.insert(pattern->col_idx.end(), r.begin(), r.end());
     pattern->row_ptr.push_back(static_cast<int64_t>(pattern->col_idx.size()));
   }
   std::vector<double> values(pattern->col_idx.size(), 1.0);
@@ -101,7 +129,7 @@ std::vector<int64_t> Graph::KHopNeighborhood(int64_t center, int hops) const {
     int64_t u = q.front();
     q.pop();
     if (dist[ZU(u)] >= hops) continue;
-    for (int64_t v : adj_[ZU(u)]) {
+    for (int64_t v : row(u)) {
       if (dist[ZU(v)] < 0) {
         dist[ZU(v)] = dist[ZU(u)] + 1;
         result.push_back(v);
@@ -124,7 +152,7 @@ std::vector<int64_t> Graph::ConnectedComponents() const {
     while (!q.empty()) {
       int64_t u = q.front();
       q.pop();
-      for (int64_t v : adj_[ZU(u)]) {
+      for (int64_t v : row(u)) {
         if (comp[ZU(v)] < 0) {
           comp[ZU(v)] = next;
           q.push(v);
@@ -158,12 +186,18 @@ Graph Graph::LargestConnectedComponent(std::vector<int64_t>* mapping) const {
       old_ids.push_back(u);
     }
   }
+  // A component is closed under adjacency, so every kept row maps whole,
+  // and the ascending renumbering keeps it sorted.  Writing the rows one
+  // after another keeps each row's nodes together in memory.
   Graph g(static_cast<int64_t>(old_ids.size()));
-  for (int64_t u = 0; u < num_nodes(); ++u) {
-    if (new_id[ZU(u)] < 0) continue;
-    for (int64_t v : adj_[ZU(u)])
-      if (u < v && new_id[ZU(v)] >= 0) g.AddEdge(new_id[ZU(u)], new_id[ZU(v)]);
+  for (size_t i = 0; i < old_ids.size(); ++i) {
+    const Row& old_row = row(old_ids[i]);
+    if (old_row.empty()) continue;
+    Row& r = g.MutableRow(static_cast<int64_t>(i));
+    for (int64_t v : old_row) r.insert(r.end(), new_id[ZU(v)]);
+    g.num_edges_ += static_cast<int64_t>(r.size());
   }
+  g.num_edges_ /= 2;
   if (mapping != nullptr) *mapping = std::move(old_ids);
   return g;
 }
@@ -171,10 +205,10 @@ Graph Graph::LargestConnectedComponent(std::vector<int64_t>* mapping) const {
 bool Graph::CheckInvariants() const {
   int64_t half_edges = 0;
   for (int64_t u = 0; u < num_nodes(); ++u) {
-    if (adj_[ZU(u)].count(u)) return false;  // No self loops.
-    for (int64_t v : adj_[ZU(u)]) {
+    if (row(u).count(u)) return false;  // No self loops.
+    for (int64_t v : row(u)) {
       if (v < 0 || v >= num_nodes()) return false;
-      if (!adj_[ZU(v)].count(u)) return false;  // Symmetry.
+      if (!row(v).count(u)) return false;  // Symmetry.
       ++half_edges;
     }
   }

@@ -9,6 +9,7 @@
 #define GEATTACK_SRC_GRAPH_GRAPH_H_
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -34,6 +35,13 @@ struct Edge {
 };
 
 /// Simple undirected graph.
+///
+/// Copies share adjacency rows.  Copying a Graph copies one handle per
+/// node; AddEdge/RemoveEdge copy a row first only while another graph still
+/// holds it.  So a copy costs O(n) plus O(deg) per row it later writes, and
+/// destroying a graph frees only the rows no other graph holds.  Copies may
+/// be written on different threads, and the source may be destroyed
+/// meanwhile.
 class Graph {
  public:
   Graph() = default;
@@ -54,7 +62,9 @@ class Graph {
   bool HasEdge(int64_t u, int64_t v) const;
 
   int64_t Degree(int64_t u) const;
-  /// Sorted neighbor set of u.
+  /// Sorted neighbor set of u.  The reference may be a row shared with
+  /// copies of this graph, and is valid only until the next AddEdge or
+  /// RemoveEdge on this graph.
   const std::set<int64_t>& Neighbors(int64_t u) const;
 
   /// All edges in canonical (u < v) order.
@@ -83,7 +93,13 @@ class Graph {
   bool CheckInvariants() const;
 
  private:
-  std::vector<std::set<int64_t>> adj_;
+  using Row = std::set<int64_t>;
+  const Row& row(int64_t u) const;
+  /// Row u, unshared first if another graph holds it.
+  Row& MutableRow(int64_t u);
+
+  /// Row handles; nullptr is an empty row no write has touched.
+  std::vector<std::shared_ptr<Row>> adj_;
   int64_t num_edges_ = 0;
 };
 

@@ -342,9 +342,9 @@ SubgraphView BuildSubgraphView(
 }
 
 std::vector<char> AugmentedBallFlags(
-    const Graph& graph, int64_t target, int hops,
+    const CsrPattern& adjacency, int64_t target, int hops,
     const std::vector<int64_t>& candidates_global) {
-  return BallFlags(GraphRows(graph), target, hops, candidates_global);
+  return BallFlags(CsrRows(adjacency), target, hops, candidates_global);
 }
 
 }  // namespace geattack

@@ -139,13 +139,14 @@ SubgraphView BuildSubgraphView(const CsrPattern& adjacency, int64_t target,
 /// the augmented graph (clean edges + the candidate edges, which put every
 /// candidate at distance 1) — exactly the node set BuildSubgraphView would
 /// materialize, without building the view.  `hops < 0` flags every node.
-/// The live-graph service uses this for ball-overlap invalidation: a churn
-/// batch whose endpoints all lie outside a queued target's ball cannot
-/// change that target's view, out-degrees, or candidate set, so its picks
-/// are identical on the old and new epochs and it keeps its pinned
-/// snapshot.
+/// Reads the clean graph's symmetric CSR adjacency (AttackContext::
+/// clean_csr).  The live-graph service uses this for ball-overlap
+/// invalidation: a churn batch whose endpoints all lie outside a queued
+/// target's ball cannot change that target's view, out-degrees, or
+/// candidate set, so its picks are identical on the old and new epochs and
+/// it keeps its pinned snapshot.
 std::vector<char> AugmentedBallFlags(
-    const Graph& graph, int64_t target, int hops,
+    const CsrPattern& adjacency, int64_t target, int hops,
     const std::vector<int64_t>& candidates_global);
 
 }  // namespace geattack

@@ -116,17 +116,19 @@ ChurnResult AttackService::UpdateGraph(const std::string& version,
   // pinned to older epochs: not having been bumped by the intervening
   // churns means their ball region is identical in every epoch since their
   // pin.  Running entries are never disturbed — they finish on their
-  // dispatch snapshot.
+  // dispatch snapshot.  Both walks read `prev`'s CSR, whose rows are
+  // contiguous, rather than its Graph's adjacency sets.
+  const CsrPattern& prev_adjacency = *prev->ctx.clean_csr.pattern();
   std::vector<int64_t> bumped;
   for (Entry* e : pending_) {
     if (e->request.graph != version) continue;
     bool overlap = true;
     if (config_.churn_ball_hops >= 0) {
       const std::vector<int64_t> candidates =
-          DirectAddCandidates(prev->data.graph, e->request.target_node,
+          DirectAddCandidates(prev_adjacency, e->request.target_node,
                               prev->data.labels, e->request.target_label);
       const std::vector<char> ball =
-          AugmentedBallFlags(prev->data.graph, e->request.target_node,
+          AugmentedBallFlags(prev_adjacency, e->request.target_node,
                              config_.churn_ball_hops, candidates);
       overlap = false;
       for (const int64_t node : endpoints) {

@@ -101,6 +101,8 @@ std::shared_ptr<const GraphSnapshot> ApplyChurn(
   auto next = std::make_shared<GraphSnapshot>();
   next->version = prev->version;
   next->epoch = prev->epoch + 1;
+  // The graph copy shares prev's rows; the flips below copy only the
+  // endpoints' rows.
   next->data = prev->data;
   next->model = prev->model;
   next->attack = prev->attack;

@@ -73,6 +73,12 @@ std::vector<Edge> ChurnEdgesOf(const std::vector<ChurnEdge>& entries);
 /// on it regardless of concurrent churn or deregistration — the raw-pointer
 /// "must outlive the service" contract is retired.  Never copied after
 /// construction (ctx would dangle).
+///
+/// What consecutive epochs share: the model, the attack, the AttackScratch
+/// and every adjacency row of `data.graph` outside the batch's endpoints
+/// (Graph copies share rows; see graph.h).  What each epoch still owns
+/// outright: the features and labels, the degree column, and the CSR and
+/// normalized CSR, each a fresh O(nnz) merge of the previous epoch's.
 struct GraphSnapshot {
   GraphSnapshot() = default;
   GraphSnapshot(const GraphSnapshot&) = delete;
@@ -86,10 +92,11 @@ struct GraphSnapshot {
   AttackContext ctx;
 };
 
-/// Builds epoch 0 of `version` by copying `data` and `model` into the
-/// snapshot and deriving the context with exactly the
-/// MakeSparseAttackContext recipe, so service results are bit-identical to
-/// an offline driver run on the caller's own context.
+/// Builds epoch 0 of `version` by copying `data` (its graph rows are shared
+/// with the caller's, not duplicated) and `model` into the snapshot and
+/// deriving the context with exactly the MakeSparseAttackContext recipe, so
+/// service results are bit-identical to an offline driver run on the
+/// caller's own context.
 std::shared_ptr<const GraphSnapshot> MakeGraphSnapshot(
     const std::string& version, const GraphData& data, const Gcn& model,
     std::shared_ptr<const TargetedAttack> attack);
@@ -97,7 +104,10 @@ std::shared_ptr<const GraphSnapshot> MakeGraphSnapshot(
 /// Applies a VALIDATED batch to `prev`, producing the next epoch.  All
 /// derived state is maintained incrementally yet bit-identical to a fresh
 /// build (see file comment).  The next epoch shares `prev`'s AttackScratch
-/// (its cached X·W₁ fold is graph-independent).  GEA_CHECKs on
+/// (its cached X·W₁ fold is graph-independent) and its untouched graph
+/// rows: the graph costs O(n) handles plus O(deg) per endpoint row, and
+/// dropping `prev` later frees only the rows it alone held.  The features
+/// (O(n·d)) and the two CSRs (O(nnz)) are still copied.  GEA_CHECKs on
 /// unvalidated input.
 std::shared_ptr<const GraphSnapshot> ApplyChurn(
     const std::shared_ptr<const GraphSnapshot>& prev, const ChurnBatch& batch);

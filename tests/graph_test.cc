@@ -3,6 +3,11 @@
 #include "src/graph/graph.h"
 
 #include <cmath>
+#include <latch>
+#include <memory>
+#include <set>
+#include <thread>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/tensor/autodiff.h"
@@ -217,6 +222,98 @@ TEST(GraphCsrTest, ApplyEdgeFlipsEmptyIsIdentity) {
   const CsrMatrix base = g.CsrAdjacency();
   const CsrMatrix same = ApplyEdgeFlips(base, {}, {});
   EXPECT_LE(same.ToDense().MaxAbsDiff(base.ToDense()), 0.0);
+}
+
+// ----- Copies share rows until written. -------------------------------------
+
+TEST(GraphTest, CopySharesRowsUntilWritten) {
+  Graph a(7);  // Path 0-1-...-5; node 6 stays isolated.
+  for (int64_t i = 0; i < 5; ++i) a.AddEdge(i, i + 1);
+  Graph b = a;
+  for (int64_t u = 0; u < 7; ++u)
+    EXPECT_EQ(&b.Neighbors(u), &a.Neighbors(u)) << u;
+
+  ASSERT_TRUE(b.AddEdge(0, 3));
+  EXPECT_TRUE(b.HasEdge(3, 0));
+  EXPECT_FALSE(a.HasEdge(3, 0));
+  EXPECT_EQ(b.Degree(0), 2);
+  EXPECT_EQ(a.Degree(0), 1);
+  EXPECT_EQ(b.Degree(3), 3);
+  EXPECT_EQ(a.Degree(3), 2);
+  EXPECT_EQ(b.num_edges(), 6);
+  EXPECT_EQ(a.num_edges(), 5);
+
+  ASSERT_TRUE(a.RemoveEdge(4, 5));
+  EXPECT_FALSE(a.HasEdge(4, 5));
+  EXPECT_TRUE(b.HasEdge(4, 5));
+  EXPECT_EQ(a.Degree(5), 0);
+  EXPECT_EQ(b.Degree(5), 1);
+  EXPECT_EQ(a.num_edges(), 4);
+  EXPECT_EQ(b.num_edges(), 6);
+  EXPECT_TRUE(a.CheckInvariants());
+  EXPECT_TRUE(b.CheckInvariants());
+
+  // Only the rows written stop being shared.
+  for (int64_t u = 0; u < 7; ++u) {
+    const bool written = u == 0 || u == 3 || u == 4 || u == 5;
+    EXPECT_EQ(&b.Neighbors(u) == &a.Neighbors(u), !written) << u;
+  }
+  // A row no other graph holds is written in place.
+  const std::set<int64_t>* b0 = &b.Neighbors(0);
+  ASSERT_TRUE(b.AddEdge(0, 2));
+  EXPECT_EQ(&b.Neighbors(0), b0);
+  EXPECT_FALSE(a.HasEdge(0, 2));
+}
+
+/// Toggles (u, v) for u among the first 8 rows and v over the rest, so every
+/// thread writes rows the source and the other threads also hold.
+void ToggleEdges(Graph* g, int64_t thread, int rounds) {
+  const int64_t n = g->num_nodes();
+  for (int r = 0; r < rounds; ++r) {
+    const int64_t u = r % 8;
+    const int64_t v = 8 + (thread * 13 + r * 5) % (n - 8);
+    if (!g->RemoveEdge(u, v)) g->AddEdge(u, v);
+  }
+}
+
+TEST(GraphTest, ConcurrentCopiesWriteIndependently) {
+  constexpr int64_t kNodes = 64;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 200;
+  auto source = std::make_unique<const Graph>(RandomGraph(kNodes, 0.2, 7));
+  // Serial references, rebuilt edge by edge so they hold none of the
+  // source's rows.
+  std::vector<Graph> expected;
+  for (int t = 0; t < kThreads; ++t) {
+    Graph ref(kNodes);
+    for (const Edge& e : source->Edges()) ref.AddEdge(e.u, e.v);
+    ToggleEdges(&ref, t, kRounds);
+    expected.push_back(std::move(ref));
+  }
+
+  // Every copy exists before any is written, so each row is shared four
+  // ways plus the source: the last thread to write a row after the others
+  // copied it away and the source is gone writes it in place.
+  std::latch copied(kThreads + 1);
+  std::vector<Graph> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Graph g = *source;
+      copied.arrive_and_wait();
+      ToggleEdges(&g, t, kRounds);
+      got[static_cast<size_t>(t)] = std::move(g);
+    });
+  }
+  copied.arrive_and_wait();
+  source.reset();  // Destroyed while the copies are being written.
+  for (std::thread& th : threads) th.join();
+
+  for (size_t t = 0; t < got.size(); ++t) {
+    EXPECT_TRUE(got[t].CheckInvariants()) << t;
+    EXPECT_EQ(got[t].num_edges(), expected[t].num_edges()) << t;
+    EXPECT_EQ(got[t].Edges(), expected[t].Edges()) << t;
+  }
 }
 
 }  // namespace

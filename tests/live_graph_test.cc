@@ -182,6 +182,32 @@ ChurnBatch BatchOf(const std::vector<Edge>& adds,
   return batch;
 }
 
+/// `next` = ApplyChurn(`prev`, adds/rems): every derived field must be the
+/// exact bits a from-scratch context build on `churned` produces, the Graph
+/// mirror must have advanced, and `prev` must not have moved.
+void ExpectMatchesFreshContext(const GraphSnapshot& prev,
+                               const GraphSnapshot& next,
+                               const GraphData& churned, const Gcn& model,
+                               const std::vector<Edge>& adds,
+                               const std::vector<Edge>& rems) {
+  const AttackContext fresh = MakeSparseAttackContext(churned, model);
+  ExpectSameCsr(next.ctx.clean_csr, fresh.clean_csr, "clean_csr");
+  ExpectSameCsr(next.ctx.clean_norm_csr, fresh.clean_norm_csr,
+                "clean_norm_csr");
+  EXPECT_EQ(next.ctx.clean_degp1.data(), fresh.clean_degp1.data())
+      << "clean_degp1";
+  EXPECT_EQ(next.ctx.clean_adjacency.rows(), 0);
+
+  for (const Edge& e : adds) {
+    EXPECT_TRUE(next.data.graph.HasEdge(e.u, e.v));
+    EXPECT_FALSE(prev.data.graph.HasEdge(e.u, e.v));
+  }
+  for (const Edge& e : rems) {
+    EXPECT_FALSE(next.data.graph.HasEdge(e.u, e.v));
+    EXPECT_TRUE(prev.data.graph.HasEdge(e.u, e.v));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // All-or-nothing churn admission.
 // ---------------------------------------------------------------------------
@@ -343,26 +369,41 @@ TEST(SnapshotTest, ApplyChurnMatchesFreshContextBitIdentical) {
   EXPECT_EQ(next->attack.get(), prev->attack.get());
   EXPECT_EQ(next->ctx.scratch.get(), prev->ctx.scratch.get());
 
-  // Every derived field must be the exact bits a from-scratch context
-  // build on the churned graph produces.
-  const AttackContext fresh = MakeSparseAttackContext(churned, *f->model);
-  ExpectSameCsr(next->ctx.clean_csr, fresh.clean_csr, "clean_csr");
-  ExpectSameCsr(next->ctx.clean_norm_csr, fresh.clean_norm_csr,
-                "clean_norm_csr");
-  EXPECT_EQ(next->ctx.clean_degp1.data(), fresh.clean_degp1.data())
-      << "clean_degp1";
-  EXPECT_EQ(next->ctx.clean_adjacency.rows(), 0);
-
-  // The Graph mirror advanced — and the PREVIOUS epoch did not move.
-  for (const Edge& e : adds) {
-    EXPECT_TRUE(next->data.graph.HasEdge(e.u, e.v));
-    EXPECT_FALSE(prev->data.graph.HasEdge(e.u, e.v));
-  }
-  for (const Edge& e : rems) {
-    EXPECT_FALSE(next->data.graph.HasEdge(e.u, e.v));
-    EXPECT_TRUE(prev->data.graph.HasEdge(e.u, e.v));
-  }
+  ExpectMatchesFreshContext(*prev, *next, churned, *f->model, adds, rems);
   EXPECT_EQ(prev->epoch, 0);
+}
+
+TEST(SnapshotTest, ApplyChurnSharesUntouchedRows) {
+  Fixture* f = SharedFixture();
+  const FgaAttack inner(/*targeted=*/true);
+  const std::vector<Edge> adds = AbsentEdges(f->data.graph, 3);
+  const std::vector<Edge> rems = RemovableEdges(f->data.graph, 2);
+  ASSERT_EQ(adds.size(), 3u);
+  ASSERT_EQ(rems.size(), 2u);
+  GraphData churned = f->data;
+  for (const Edge& e : adds) ASSERT_TRUE(churned.graph.AddEdge(e.u, e.v));
+  for (const Edge& e : rems) ASSERT_TRUE(churned.graph.RemoveEdge(e.u, e.v));
+
+  const auto prev =
+      MakeGraphSnapshot("v", f->data, *f->model, NoOwn(&inner));
+  const auto next = ApplyChurn(prev, BatchOf(adds, rems));
+
+  const Graph& before = prev->data.graph;
+  const Graph& after = next->data.graph;
+  std::vector<char> endpoint(static_cast<size_t>(before.num_nodes()), 0);
+  for (const std::vector<Edge>* edges : {&adds, &rems}) {
+    for (const Edge& e : *edges) {
+      endpoint[static_cast<size_t>(e.u)] = 1;
+      endpoint[static_cast<size_t>(e.v)] = 1;
+    }
+  }
+  for (int64_t u = 0; u < before.num_nodes(); ++u) {
+    if (endpoint[static_cast<size_t>(u)] != 0)
+      EXPECT_NE(&after.Neighbors(u), &before.Neighbors(u)) << u;
+    else
+      EXPECT_EQ(&after.Neighbors(u), &before.Neighbors(u)) << u;
+  }
+  ExpectMatchesFreshContext(*prev, *next, churned, *f->model, adds, rems);
 }
 
 // ---------------------------------------------------------------------------
