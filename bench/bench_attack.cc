@@ -417,7 +417,6 @@ struct ChurnSection {
   double full_rebuild_ms = 0.0;  // Sum of from-scratch sparse builds.
   double speedup = 0.0;
   int64_t epochs = 0;
-  int64_t bumped_targets = 0;  // Queued requests re-pinned across the run.
   int64_t completed = 0;
   bool gate_ok = true;  // Stays true when the section is skipped.
 };
@@ -537,7 +536,6 @@ ChurnSection RunChurnSection(const Scenario& s, bool quick) {
     }
     const ChurnResult cr = service.UpdateGraph("bench", plan[ZU(r)]);
     GEA_CHECK(cr.status.ok());
-    sec.bumped_targets += cr.requeued;
   }
   service.Drain();
 
@@ -567,8 +565,7 @@ ChurnSection RunChurnSection(const Scenario& s, bool quick) {
   std::cerr << "[bench_attack] churn: " << sec.rounds << " x "
             << sec.batch_edges << "-edge batches, incremental "
             << sec.incremental_ms << " ms vs rebuild " << sec.full_rebuild_ms
-            << " ms (x" << sec.speedup << "), bumped " << sec.bumped_targets
-            << " queued targets, per-epoch replay gate "
+            << " ms (x" << sec.speedup << "), per-epoch replay gate "
             << (sec.gate_ok ? "PASS" : "FAIL") << "\n";
   return sec;
 }
@@ -1079,7 +1076,6 @@ int RunHarness(const std::string& json_path, bool quick) {
       << ",\"full_rebuild_ms\":" << churn_section.full_rebuild_ms
       << ",\"speedup\":" << churn_section.speedup
       << ",\"epochs\":" << churn_section.epochs
-      << ",\"bumped_targets\":" << churn_section.bumped_targets
       << ",\"completed\":" << churn_section.completed << ",\"gate\":"
       << (churn_section.gate_ok ? "\"pass\"" : "\"fail\"")
       << "},\n  \"scaling\": [\n";

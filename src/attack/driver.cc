@@ -65,9 +65,9 @@ std::string ValidateRequest(const AttackContext& ctx,
 /// corrupt-but-parseable record (out-of-range endpoints) is not replayed —
 /// the target is simply recomputed.
 bool JournaledEdgesValid(const AttackContext& ctx,
-                         const JournalRecord& record) {
+                         const AttackResult& result) {
   const int64_t n = ctx.data->num_nodes();
-  for (const Edge& e : record.result.added_edges)
+  for (const Edge& e : result.added_edges)
     if (e.u < 0 || e.u >= n || e.v < 0 || e.v >= n || e.u == e.v)
       return false;
   return true;
@@ -124,55 +124,27 @@ std::vector<AttackResult> RunMultiTargetAttack(
 
   // Checkpoint/resume: replay the journal's completed targets, then open
   // the writer positioned past the last complete record (discarding any
-  // torn tail).
-  AttackJournalWriter journal;
+  // torn tail; a foreign file loads with valid_bytes 0 and is overwritten).
+  JournalWriter journal;
   std::mutex journal_mutex;
   if (!config.journal_path.empty()) {
     const JournalLoadResult prior =
-        LoadAttackJournal(config.journal_path, config.base_seed, num_requests);
+        LoadJournal(config.journal_path, config.base_seed, num_requests);
     // Surfaced corruption (a complete record whose CRC mismatched) is
     // recoverable here — the dropped targets are simply recomputed — but it
     // means the storage flipped bits, which the operator should know about.
     if (!prior.status.ok())
       std::fprintf(stderr, "geattack: %s\n", prior.status.ToString().c_str());
-    std::vector<int64_t> replayed;
-    replayed.reserve(prior.records.size());
     for (const JournalRecord& record : prior.records) {
-      const int64_t i = record.request_index;
-      if (done[ZU(i)]) continue;
-      if (JournaledEdgesValid(ctx, record)) {
-        results[ZU(i)] = record.result;
-        done[ZU(i)] = 1;
-        replayed.push_back(i);
-      }
+      const TargetRecord& target = std::get<TargetRecord>(record);
+      const int64_t i = target.request_index;
+      if (done[ZU(i)] || !JournaledEdgesValid(ctx, target.result)) continue;
+      results[ZU(i)] = target.result;
+      done[ZU(i)] = 1;
     }
-    // A legacy (v1) journal replays fine, but appending CRC'd records
-    // under its v1 header would corrupt the next resume — so migrate
-    // ATOMICALLY: RewriteJournal writes a v3 twin holding the replayed
-    // records to a tmp file and rename(2)s it over the v1 original, so a
-    // kill at any point mid-migration leaves either the loadable v1 or
-    // the complete v3, never a half-rewritten hybrid.  (A v2 journal
-    // needs no rewrite — `r` records are grammar-identical under both
-    // headers — so it resumes in place.)
-    int64_t resume_offset =
-        (prior.header_ok && !prior.legacy) ? prior.valid_bytes : 0;
-    Status opened = Status::Ok();
-    if (prior.header_ok && prior.legacy) {
-      std::vector<JournalRecord> migrated;
-      migrated.reserve(replayed.size());
-      for (int64_t i : replayed) {
-        JournalRecord record;
-        record.request_index = i;
-        record.result.added_edges = results[ZU(i)].added_edges;
-        record.result.status = results[ZU(i)].status;
-        migrated.push_back(std::move(record));
-      }
-      opened = RewriteJournal(config.journal_path, config.base_seed,
-                              num_requests, migrated, &resume_offset);
-    }
-    if (opened.ok())
-      opened = journal.Open(config.journal_path, resume_offset,
-                            config.base_seed, num_requests);
+    const Status opened =
+        journal.Open(config.journal_path, prior.valid_bytes, config.base_seed,
+                     num_requests);
     // A configured journal that cannot be written is a setup error, not a
     // per-target fault: fail loudly instead of silently dropping durability.
     if (!opened.ok()) {
@@ -247,7 +219,7 @@ std::vector<AttackResult> RunMultiTargetAttack(
     if (journal.is_open() &&
         results[ZU(i)].status.code() != StatusCode::kSkipped) {
       std::lock_guard<std::mutex> lock(journal_mutex);
-      const Status appended = journal.Append(i, results[ZU(i)]);
+      const Status appended = journal.Append(TargetRecord{i, results[ZU(i)]});
       GEA_CHECK(appended.ok());
     }
   };

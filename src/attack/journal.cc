@@ -5,9 +5,9 @@
 
 #include <array>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <string_view>
 #include <utility>
 
@@ -26,14 +26,8 @@ using textio::ParseUint;
 using textio::ReadAll;
 
 // Sanity caps: a corrupted length field must not drive a giant allocation.
-constexpr int64_t kMaxEdgesPerRecord = int64_t{1} << 24;
-constexpr int64_t kMaxMessageBytes = int64_t{1} << 20;
-constexpr int64_t kMaxBumpedTickets = int64_t{1} << 24;
-
-bool ValidCode(int64_t code) {
-  return code >= static_cast<int64_t>(StatusCode::kOk) &&
-         code <= static_cast<int64_t>(StatusCode::kNotFound);
-}
+constexpr int64_t kMaxListLength = int64_t{1} << 24;  // Edges or tickets.
+constexpr int64_t kMaxRawBytes = int64_t{1} << 20;    // A message or name.
 
 /// CRC32 (reflected, polynomial 0xEDB88320 — the zlib/PNG one) over a byte
 /// span.  Table built once; static local init is thread-safe.
@@ -55,17 +49,99 @@ uint32_t Crc32(const char* data, size_t len) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-/// Outcome of parsing one record: v1 and CRC'd records parse the same
-/// fields, but only a complete CRC'd record whose checksum mismatches is
-/// kCorrupt — every other failure mode is indistinguishable from a torn
-/// tail.
-enum class RecordParse { kOk, kTorn, kCorrupt };
+std::string EncodeHeader(uint64_t base_seed, int64_t count) {
+  std::string header = "geajournal v3\nmeta ";
+  AppendUint(&header, base_seed);
+  header += ' ';
+  AppendInt(&header, count);
+  header += '\n';
+  return header;
+}
 
-/// Parses the length-prefixed raw-bytes payload: `<len>\n<len bytes>`.
-bool ParseLengthPrefixed(Cursor* c, int64_t max_len, std::string* out) {
+// ----- Encoding: `<tag>` then ` <field>` per field. --------------------------
+
+void AppendInts(std::string* out, std::initializer_list<int64_t> values) {
+  for (const int64_t v : values) {
+    *out += ' ';
+    AppendInt(out, v);
+  }
+}
+
+void AppendEdges(std::string* out, const std::vector<Edge>& edges) {
+  AppendInts(out, {static_cast<int64_t>(edges.size())});
+  for (const Edge& e : edges) AppendInts(out, {e.u, e.v});
+}
+
+/// ` <len>`, one newline, then the raw bytes.
+void AppendRaw(std::string* out, const std::string& bytes) {
+  AppendInts(out, {static_cast<int64_t>(bytes.size())});
+  *out += '\n';
+  *out += bytes;
+}
+
+/// The result codec `r` and `t` share: status code, edge list, message.
+void AppendResult(std::string* out, const AttackResult& result) {
+  AppendInts(out, {static_cast<int64_t>(result.status.code())});
+  AppendEdges(out, result.added_edges);
+  AppendRaw(out, result.status.message());
+}
+
+void Encode(const TargetRecord& r, std::string* out) {
+  *out += 'r';
+  AppendInts(out, {r.request_index});
+  AppendResult(out, r.result);
+}
+
+void Encode(const ServiceSubmitRecord& r, std::string* out) {
+  *out += 's';
+  AppendInts(out, {r.ticket, r.accepted_index, r.epoch, r.target_node,
+                   r.target_label, r.budget, r.priority});
+  AppendRaw(out, r.version);
+}
+
+void Encode(const ServiceChurnRecord& r, std::string* out) {
+  *out += 'g';
+  AppendInts(out, {r.epoch, static_cast<int64_t>(r.bumped_tickets.size())});
+  for (const int64_t t : r.bumped_tickets) AppendInts(out, {t});
+  AppendEdges(out, r.added);
+  AppendEdges(out, r.removed);
+  AppendRaw(out, r.version);
+}
+
+void Encode(const ServiceCompleteRecord& r, std::string* out) {
+  *out += 't';
+  AppendInts(out, {r.ticket, r.attempts, r.effective_budget, r.epoch});
+  AppendResult(out, r.result);
+}
+
+// ----- Decoding: every helper returns false on torn or malformed bytes. ----
+
+bool ParseInts(Cursor* c, std::initializer_list<int64_t*> values) {
+  for (int64_t* v : values)
+    if (!ParseInt(c, v)) return false;
+  return true;
+}
+
+bool ParseLength(Cursor* c, int64_t* n) {
+  return ParseInt(c, n) && *n >= 0 && *n <= kMaxListLength;
+}
+
+bool ParseEdges(Cursor* c, std::vector<Edge>* out) {
+  int64_t n = 0;
+  if (!ParseLength(c, &n)) return false;
+  out->clear();
+  out->reserve(static_cast<size_t>(n));
+  for (int64_t e = 0; e < n; ++e) {
+    int64_t u = 0, v = 0;
+    if (!ParseInts(c, {&u, &v})) return false;
+    out->emplace_back(u, v);
+  }
+  return true;
+}
+
+bool ParseRaw(Cursor* c, std::string* out) {
   int64_t len = 0;
-  if (!ParseInt(c, &len)) return false;
-  if (len < 0 || len > max_len) return false;
+  if (!ParseInt(c, &len) || len < 0 || len > kMaxRawBytes) return false;
   // Exactly one '\n' separates the length from the raw bytes.
   if (c->p >= c->end || *c->p != '\n') return false;
   ++c->p;
@@ -75,138 +151,89 @@ bool ParseLengthPrefixed(Cursor* c, int64_t max_len, std::string* out) {
   return true;
 }
 
-/// Parses the CRC trailer `c <crc32> ;` (or the bare v1 `;`) covering
-/// [record_start, payload_end).
-RecordParse ParseTrailer(Cursor* c, const char* record_start,
-                         const char* payload_end, bool with_crc) {
-  std::string_view token;
-  if (with_crc) {
-    uint64_t stored = 0;
-    if (!ParseToken(c, &token) || token != "c") return RecordParse::kTorn;
-    if (!ParseUint(c, &stored)) return RecordParse::kTorn;
-    if (!ParseToken(c, &token) || token != ";") return RecordParse::kTorn;
-    const uint32_t computed = Crc32(
-        record_start, static_cast<size_t>(payload_end - record_start));
-    // The record is COMPLETE (terminator parsed) but its bytes changed
-    // since it was written: structured corruption, not a torn tail.
-    if (stored != computed) return RecordParse::kCorrupt;
-  } else {
-    if (!ParseToken(c, &token) || token != ";") return RecordParse::kTorn;
-  }
-  return RecordParse::kOk;
-}
-
-bool ParseEdgeList(Cursor* c, int64_t count, std::vector<Edge>* out) {
-  out->clear();
-  out->reserve(static_cast<size_t>(count));
-  for (int64_t e = 0; e < count; ++e) {
-    int64_t u = 0, v = 0;
-    if (!ParseInt(c, &u) || !ParseInt(c, &v)) return false;
-    out->emplace_back(u, v);
-  }
+bool ParseResult(Cursor* c, AttackResult* out) {
+  int64_t code = 0;
+  std::string message;
+  if (!ParseInt(c, &code) || code < static_cast<int64_t>(StatusCode::kOk) ||
+      code > static_cast<int64_t>(StatusCode::kNotFound) ||
+      !ParseEdges(c, &out->added_edges) || !ParseRaw(c, &message))
+    return false;
+  out->status =
+      Status::FromCode(static_cast<StatusCode>(code), std::move(message));
   return true;
 }
 
-/// Parses one `r` record starting exactly at `c->p` (caller skips leading
-/// space so the CRC span starts at the 'r').
-RecordParse ParseRecord(Cursor* c, int64_t num_requests, bool with_crc,
-                        JournalRecord* out) {
-  const char* record_start = c->p;
-  std::string_view token;
-  if (!ParseToken(c, &token) || token != "r") return RecordParse::kTorn;
-  int64_t idx = 0, code = 0, num_edges = 0;
-  if (!ParseInt(c, &idx) || !ParseInt(c, &code) || !ParseInt(c, &num_edges))
-    return RecordParse::kTorn;
-  if (idx < 0 || idx >= num_requests || !ValidCode(code))
-    return RecordParse::kTorn;
-  if (num_edges < 0 || num_edges > kMaxEdgesPerRecord)
-    return RecordParse::kTorn;
-  out->request_index = idx;
-  if (!ParseEdgeList(c, num_edges, &out->result.added_edges))
-    return RecordParse::kTorn;
-  std::string message;
-  if (!ParseLengthPrefixed(c, kMaxMessageBytes, &message))
-    return RecordParse::kTorn;
-  const char* payload_end = c->p;  // CRC covers [record_start, here).
-  const RecordParse trailer =
-      ParseTrailer(c, record_start, payload_end, with_crc);
-  if (trailer != RecordParse::kOk) return trailer;
-  out->result.status =
-      Status::FromCode(static_cast<StatusCode>(code), std::move(message));
-  return RecordParse::kOk;
+bool Parse(Cursor* c, int64_t num_requests, TargetRecord* r) {
+  return ParseInt(c, &r->request_index) && r->request_index >= 0 &&
+         r->request_index < num_requests && ParseResult(c, &r->result);
 }
 
-/// Parses one service record (`s` / `g` / `t`, always CRC'd) starting
-/// exactly at `c->p`.
-RecordParse ParseServiceRecord(Cursor* c, ServiceJournalEvent* out) {
+bool Parse(Cursor* c, ServiceSubmitRecord* r) {
+  return ParseInts(c, {&r->ticket, &r->accepted_index, &r->epoch,
+                       &r->target_node, &r->target_label, &r->budget,
+                       &r->priority}) &&
+         r->ticket >= 0 && r->accepted_index >= 0 && r->epoch >= 0 &&
+         ParseRaw(c, &r->version);
+}
+
+bool Parse(Cursor* c, ServiceChurnRecord* r) {
+  int64_t n_bumped = 0;
+  if (!ParseInt(c, &r->epoch) || r->epoch <= 0 || !ParseLength(c, &n_bumped))
+    return false;
+  r->bumped_tickets.reserve(static_cast<size_t>(n_bumped));
+  for (int64_t i = 0; i < n_bumped; ++i) {
+    int64_t t = 0;
+    if (!ParseInt(c, &t) || t < 0) return false;
+    r->bumped_tickets.push_back(t);
+  }
+  return ParseEdges(c, &r->added) && ParseEdges(c, &r->removed) &&
+         ParseRaw(c, &r->version);
+}
+
+bool Parse(Cursor* c, ServiceCompleteRecord* r) {
+  return ParseInts(c, {&r->ticket, &r->attempts, &r->effective_budget,
+                       &r->epoch}) &&
+         r->ticket >= 0 && r->attempts >= 0 && r->epoch >= 0 &&
+         ParseResult(c, &r->result);
+}
+
+/// Outcome of parsing one record: only a complete record whose checksum
+/// mismatches is kCorrupt — every other failure mode is indistinguishable
+/// from a torn tail.
+enum class RecordParse { kOk, kTorn, kCorrupt };
+
+/// Parses one record starting exactly at `c->p` (the CRC span starts at its
+/// tag), through its trailer `c <crc32> ;` and the newline that ends it.
+/// Only `r` is legal under a count ≥ 0, only `s`/`g`/`t` under -1.
+RecordParse ParseRecord(Cursor* c, int64_t count, JournalRecord* out) {
   const char* record_start = c->p;
+  std::string_view tag;
+  if (!ParseToken(c, &tag)) return RecordParse::kTorn;
+  bool parsed = false;
+  if (count >= 0)
+    parsed = tag == "r" && Parse(c, count, &out->emplace<TargetRecord>());
+  else if (tag == "s")
+    parsed = Parse(c, &out->emplace<ServiceSubmitRecord>());
+  else if (tag == "g")
+    parsed = Parse(c, &out->emplace<ServiceChurnRecord>());
+  else if (tag == "t")
+    parsed = Parse(c, &out->emplace<ServiceCompleteRecord>());
+  if (!parsed) return RecordParse::kTorn;
+
+  const char* payload_end = c->p;  // The CRC covers [record_start, here).
   std::string_view token;
-  if (!ParseToken(c, &token)) return RecordParse::kTorn;
-  if (token == "s") {
-    out->kind = ServiceJournalEvent::Kind::kSubmit;
-    ServiceSubmitRecord& r = out->submit;
-    if (!ParseInt(c, &r.ticket) || !ParseInt(c, &r.accepted_index) ||
-        !ParseInt(c, &r.epoch) || !ParseInt(c, &r.target_node) ||
-        !ParseInt(c, &r.target_label) || !ParseInt(c, &r.budget) ||
-        !ParseInt(c, &r.priority))
-      return RecordParse::kTorn;
-    if (r.ticket < 0 || r.accepted_index < 0 || r.epoch < 0)
-      return RecordParse::kTorn;
-    if (!ParseLengthPrefixed(c, kMaxMessageBytes, &r.version))
-      return RecordParse::kTorn;
-    return ParseTrailer(c, record_start, c->p, /*with_crc=*/true);
-  }
-  if (token == "g") {
-    out->kind = ServiceJournalEvent::Kind::kChurn;
-    ServiceChurnRecord& r = out->churn;
-    int64_t n_bumped = 0, n_add = 0, n_rem = 0;
-    if (!ParseInt(c, &r.epoch) || !ParseInt(c, &n_bumped))
-      return RecordParse::kTorn;
-    if (r.epoch <= 0 || n_bumped < 0 || n_bumped > kMaxBumpedTickets)
-      return RecordParse::kTorn;
-    r.bumped_tickets.clear();
-    r.bumped_tickets.reserve(static_cast<size_t>(n_bumped));
-    for (int64_t i = 0; i < n_bumped; ++i) {
-      int64_t t = 0;
-      if (!ParseInt(c, &t) || t < 0) return RecordParse::kTorn;
-      r.bumped_tickets.push_back(t);
-    }
-    if (!ParseInt(c, &n_add) || n_add < 0 || n_add > kMaxEdgesPerRecord ||
-        !ParseEdgeList(c, n_add, &r.added))
-      return RecordParse::kTorn;
-    if (!ParseInt(c, &n_rem) || n_rem < 0 || n_rem > kMaxEdgesPerRecord ||
-        !ParseEdgeList(c, n_rem, &r.removed))
-      return RecordParse::kTorn;
-    if (!ParseLengthPrefixed(c, kMaxMessageBytes, &r.version))
-      return RecordParse::kTorn;
-    return ParseTrailer(c, record_start, c->p, /*with_crc=*/true);
-  }
-  if (token == "t") {
-    out->kind = ServiceJournalEvent::Kind::kComplete;
-    ServiceCompleteRecord& r = out->complete;
-    int64_t code = 0, num_edges = 0;
-    if (!ParseInt(c, &r.ticket) || !ParseInt(c, &r.attempts) ||
-        !ParseInt(c, &r.effective_budget) || !ParseInt(c, &r.epoch) ||
-        !ParseInt(c, &code) || !ParseInt(c, &num_edges))
-      return RecordParse::kTorn;
-    if (r.ticket < 0 || r.attempts < 0 || r.epoch < 0 || !ValidCode(code))
-      return RecordParse::kTorn;
-    if (num_edges < 0 || num_edges > kMaxEdgesPerRecord)
-      return RecordParse::kTorn;
-    if (!ParseEdgeList(c, num_edges, &r.result.added_edges))
-      return RecordParse::kTorn;
-    std::string message;
-    if (!ParseLengthPrefixed(c, kMaxMessageBytes, &message))
-      return RecordParse::kTorn;
-    const char* payload_end = c->p;
-    const RecordParse trailer =
-        ParseTrailer(c, record_start, payload_end, /*with_crc=*/true);
-    if (trailer != RecordParse::kOk) return trailer;
-    r.result.status =
-        Status::FromCode(static_cast<StatusCode>(code), std::move(message));
-    return RecordParse::kOk;
-  }
-  return RecordParse::kTorn;
+  uint64_t stored = 0;
+  if (!ParseToken(c, &token) || token != "c" || !ParseUint(c, &stored) ||
+      !ParseToken(c, &token) || token != ";" || c->p >= c->end ||
+      *c->p != '\n')
+    return RecordParse::kTorn;
+  ++c->p;
+  // The record is COMPLETE (terminator parsed) but its bytes changed since
+  // it was written: structured corruption, not a torn tail.
+  if (stored != Crc32(record_start,
+                      static_cast<size_t>(payload_end - record_start)))
+    return RecordParse::kCorrupt;
+  return RecordParse::kOk;
 }
 
 /// write(2) the whole buffer, retrying on short writes / EINTR.
@@ -227,11 +254,11 @@ std::string ErrnoMessage(const char* what, const std::string& path) {
   return std::string(what) + " " + path + ": " + std::strerror(errno);
 }
 
-/// fsyncs the directory containing `path`, making a just-created (or
-/// just-renamed) directory entry itself durable.  fsync on the file alone
-/// persists the file's bytes and inode but NOT the parent directory's entry
-/// pointing at it — a crash right after creation could lose the name, and a
-/// journal whose name is gone protects nothing.
+/// fsyncs the directory containing `path`, making a just-created directory
+/// entry itself durable.  fsync on the file alone persists the file's bytes
+/// and inode but NOT the parent directory's entry pointing at it — a crash
+/// right after creation could lose the name, and a journal whose name is
+/// gone protects nothing.
 Status FsyncParentDir(const std::string& path) {
   const size_t slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos
@@ -247,126 +274,31 @@ Status FsyncParentDir(const std::string& path) {
   return Status::Ok();
 }
 
-/// Appends the CRC trailer: the checksum spans the record bytes built so
-/// far — the leading tag byte through the last payload byte — exactly what
-/// the loader recomputes over.
-void FinishRecord(std::string* record) {
-  const uint32_t crc = Crc32(record->data(), record->size());
-  *record += "\nc ";
-  AppendUint(record, crc);
-  *record += " ;\n";
-}
-
-void AppendEdgeList(std::string* out, const std::vector<Edge>& edges) {
-  for (const Edge& e : edges) {
-    *out += ' ';
-    AppendInt(out, e.u);
-    *out += ' ';
-    AppendInt(out, e.v);
-  }
-}
-
-void AppendLengthPrefixed(std::string* out, const std::string& payload) {
-  *out += ' ';
-  AppendInt(out, static_cast<int64_t>(payload.size()));
-  *out += '\n';
-  *out += payload;
-}
-
-std::string EncodeResultRecord(int64_t request_index,
-                               const AttackResult& result) {
-  std::string out = "r ";
-  AppendInt(&out, request_index);
-  out += ' ';
-  AppendInt(&out, static_cast<int64_t>(result.status.code()));
-  out += ' ';
-  AppendInt(&out, static_cast<int64_t>(result.added_edges.size()));
-  AppendEdgeList(&out, result.added_edges);
-  AppendLengthPrefixed(&out, result.status.message());
-  FinishRecord(&out);
-  return out;
-}
-
-std::string EncodeHeader(uint64_t base_seed, int64_t num_requests) {
-  std::string header = "geajournal v3\nmeta ";
-  AppendUint(&header, base_seed);
-  header += ' ';
-  AppendInt(&header, num_requests);
-  header += '\n';
-  return header;
-}
-
-/// Shared Open body: position the fd at `resume_offset` (truncating any
-/// torn tail), write `header` when starting fresh, and make both the file
-/// and its directory entry durable.
-Status OpenJournalFd(int* fd, const std::string& path, int64_t resume_offset,
-                     const std::string& header) {
-  GEA_CHECK(*fd < 0);
-  GEA_CHECK(resume_offset >= 0);
-  *fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
-  if (*fd < 0) return Status::Error(ErrnoMessage("cannot open journal", path));
-  if (::ftruncate(*fd, static_cast<off_t>(resume_offset)) != 0 ||
-      ::lseek(*fd, 0, SEEK_END) < 0) {
-    ::close(*fd);
-    *fd = -1;
-    return Status::Error(ErrnoMessage("cannot position journal", path));
-  }
-  if (resume_offset == 0 && !WriteAll(*fd, header)) {
-    ::close(*fd);
-    *fd = -1;
-    return Status::Error(ErrnoMessage("cannot write journal header", path));
-  }
-  if (::fsync(*fd) != 0)
-    return Status::Error(ErrnoMessage("cannot fsync journal", path));
-  // Durability guarantee: the journal's directory entry survives a crash
-  // from here on — fsync on the file covers its bytes, the directory fsync
-  // covers the name O_CREAT may just have added.
-  return FsyncParentDir(path);
-}
-
-Status AppendDurable(int fd, const std::string& record) {
-  GEA_CHECK(fd >= 0);
-  if (!WriteAll(fd, record)) return Status::Error("journal write failed");
-  if (::fsync(fd) != 0) return Status::Error("journal fsync failed");
-  return Status::Ok();
-}
-
 }  // namespace
 
-JournalLoadResult LoadAttackJournal(const std::string& path,
-                                    uint64_t base_seed,
-                                    int64_t num_requests) {
+JournalLoadResult LoadJournal(const std::string& path, uint64_t base_seed,
+                              int64_t count) {
+  GEA_CHECK(count >= -1);
   JournalLoadResult loaded;
   std::ifstream is(path);
   std::string buf;
   if (!is || !ReadAll(is, &buf)) return loaded;  // Fresh start.
-  Cursor c{buf.data(), buf.data() + buf.size()};
-
-  std::string_view token;
-  if (!ParseToken(&c, &token) || token != "geajournal") return loaded;
-  if (!ParseToken(&c, &token) ||
-      (token != "v1" && token != "v2" && token != "v3"))
-    return loaded;
-  const bool with_crc = (token != "v1");
-  loaded.legacy = !with_crc;
-  if (!ParseToken(&c, &token) || token != "meta") return loaded;
-  uint64_t seed = 0;
-  int64_t count = 0;
-  if (!ParseUint(&c, &seed) || !ParseInt(&c, &count)) return loaded;
-  // A journal for a different seed or request set belongs to some other
-  // run; replaying it would be wrong, so it is ignored (and overwritten).
-  if (seed != base_seed || count != num_requests) return loaded;
+  // Anything but this run's exact header — another seed or count, the
+  // other file kind, another format version — belongs to something else;
+  // replaying it would be wrong, so it is ignored (and overwritten).
+  const std::string header = EncodeHeader(base_seed, count);
+  if (buf.compare(0, header.size(), header) != 0) return loaded;
   loaded.header_ok = true;
-  textio::SkipSpace(&c);
-  loaded.valid_bytes = c.p - buf.data();
+  loaded.valid_bytes = static_cast<int64_t>(header.size());
 
+  Cursor c{buf.data() + header.size(), buf.data() + buf.size()};
   JournalRecord record;
   while (c.p < c.end) {
-    const RecordParse parse = ParseRecord(&c, num_requests, with_crc, &record);
+    const RecordParse parse = ParseRecord(&c, count, &record);
     if (parse == RecordParse::kTorn) break;  // Normal kill artifact.
     if (parse == RecordParse::kCorrupt) {
       // valid_bytes still points before this record, so the resuming
-      // writer truncates the corrupt tail and the driver recomputes it.
+      // writer truncates the corrupt tail and its work is recomputed.
       loaded.status = Status::DataLoss(
           "journal record failed CRC check at byte offset " +
           std::to_string(loaded.valid_bytes) + " of " + path +
@@ -374,167 +306,57 @@ JournalLoadResult LoadAttackJournal(const std::string& path,
       break;
     }
     loaded.records.push_back(std::move(record));
-    record = JournalRecord();
-    textio::SkipSpace(&c);
     loaded.valid_bytes = c.p - buf.data();
   }
   return loaded;
 }
 
-AttackJournalWriter::~AttackJournalWriter() {
+JournalWriter::~JournalWriter() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Status AttackJournalWriter::Open(const std::string& path,
-                                 int64_t resume_offset, uint64_t base_seed,
-                                 int64_t num_requests) {
-  return OpenJournalFd(&fd_, path, resume_offset,
-                       EncodeHeader(base_seed, num_requests));
-}
-
-Status AttackJournalWriter::Append(int64_t request_index,
-                                   const AttackResult& result) {
-  return AppendDurable(fd_, EncodeResultRecord(request_index, result));
-}
-
-Status RewriteJournal(const std::string& path, uint64_t base_seed,
-                      int64_t num_requests,
-                      const std::vector<JournalRecord>& records,
-                      int64_t* resume_offset) {
-  GEA_CHECK(resume_offset != nullptr);
-  std::string buf = EncodeHeader(base_seed, num_requests);
-  for (const JournalRecord& r : records)
-    buf += EncodeResultRecord(r.request_index, r.result);
-
-  const std::string tmp = path + ".rewrite.tmp";
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0)
-    return Status::Error(ErrnoMessage("cannot open journal rewrite", tmp));
-  if (!WriteAll(fd, buf) || ::fsync(fd) != 0) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return Status::Error(ErrnoMessage("cannot write journal rewrite", tmp));
+Status JournalWriter::Open(const std::string& path, int64_t resume_offset,
+                           uint64_t base_seed, int64_t count) {
+  GEA_CHECK(fd_ < 0);
+  GEA_CHECK(resume_offset >= 0);
+  GEA_CHECK(count >= -1);
+  count_ = count;
+  fd_ = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
+  if (fd_ < 0) return Status::Error(ErrnoMessage("cannot open journal", path));
+  if (::ftruncate(fd_, static_cast<off_t>(resume_offset)) != 0 ||
+      ::lseek(fd_, 0, SEEK_END) < 0) {
+    ::close(fd_);
+    fd_ = -1;
+    return Status::Error(ErrnoMessage("cannot position journal", path));
   }
-  ::close(fd);
-  // The atomic commit point: before this rename the original journal is
-  // untouched (a crash leaves the loadable old file plus a stale tmp the
-  // next rewrite truncates); after it the path names the complete new
-  // file.  The directory fsync makes the swap itself durable.
-  if (::rename(tmp.c_str(), path.c_str()) != 0)
-    return Status::Error(ErrnoMessage("cannot commit journal rewrite", path));
-  const Status synced = FsyncParentDir(path);
-  if (!synced.ok()) return synced;
-  *resume_offset = static_cast<int64_t>(buf.size());
+  if (resume_offset == 0 && !WriteAll(fd_, EncodeHeader(base_seed, count))) {
+    ::close(fd_);
+    fd_ = -1;
+    return Status::Error(ErrnoMessage("cannot write journal header", path));
+  }
+  if (::fsync(fd_) != 0)
+    return Status::Error(ErrnoMessage("cannot fsync journal", path));
+  // Durability guarantee: the journal's directory entry survives a crash
+  // from here on — fsync on the file covers its bytes, the directory fsync
+  // covers the name O_CREAT may just have added.
+  return FsyncParentDir(path);
+}
+
+Status JournalWriter::Append(const JournalRecord& record) {
+  GEA_CHECK(fd_ >= 0);
+  // The loader ends the replay at a record of the other file kind.
+  GEA_CHECK(std::holds_alternative<TargetRecord>(record) == (count_ >= 0));
+  std::string out;
+  std::visit([&out](const auto& r) { Encode(r, &out); }, record);
+  // The checksum spans the record bytes built so far — the tag through the
+  // last raw byte — exactly what the loader recomputes over.
+  const uint32_t crc = Crc32(out.data(), out.size());
+  out += "\nc ";
+  AppendUint(&out, crc);
+  out += " ;\n";
+  if (!WriteAll(fd_, out)) return Status::Error("journal write failed");
+  if (::fsync(fd_) != 0) return Status::Error("journal fsync failed");
   return Status::Ok();
-}
-
-ServiceJournalLoadResult LoadServiceJournal(const std::string& path,
-                                            uint64_t base_seed) {
-  ServiceJournalLoadResult loaded;
-  std::ifstream is(path);
-  std::string buf;
-  if (!is || !ReadAll(is, &buf)) return loaded;  // Fresh start.
-  Cursor c{buf.data(), buf.data() + buf.size()};
-
-  std::string_view token;
-  if (!ParseToken(&c, &token) || token != "geajournal") return loaded;
-  if (!ParseToken(&c, &token) || token != "v3") return loaded;
-  if (!ParseToken(&c, &token) || token != "meta") return loaded;
-  uint64_t seed = 0;
-  int64_t count = 0;
-  if (!ParseUint(&c, &seed) || !ParseInt(&c, &count)) return loaded;
-  if (seed != base_seed || count != -1) return loaded;
-  loaded.header_ok = true;
-  textio::SkipSpace(&c);
-  loaded.valid_bytes = c.p - buf.data();
-
-  ServiceJournalEvent event;
-  while (c.p < c.end) {
-    const RecordParse parse = ParseServiceRecord(&c, &event);
-    if (parse == RecordParse::kTorn) break;  // Normal kill artifact.
-    if (parse == RecordParse::kCorrupt) {
-      loaded.status = Status::DataLoss(
-          "service journal record failed CRC check at byte offset " +
-          std::to_string(loaded.valid_bytes) + " of " + path +
-          "; dropping it and everything after it");
-      break;
-    }
-    loaded.events.push_back(std::move(event));
-    event = ServiceJournalEvent();
-    textio::SkipSpace(&c);
-    loaded.valid_bytes = c.p - buf.data();
-  }
-  return loaded;
-}
-
-ServiceJournalWriter::~ServiceJournalWriter() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-Status ServiceJournalWriter::Open(const std::string& path,
-                                  int64_t resume_offset, uint64_t base_seed) {
-  return OpenJournalFd(&fd_, path, resume_offset,
-                       EncodeHeader(base_seed, /*num_requests=*/-1));
-}
-
-Status ServiceJournalWriter::AppendSubmit(const ServiceSubmitRecord& record) {
-  std::string out = "s ";
-  AppendInt(&out, record.ticket);
-  out += ' ';
-  AppendInt(&out, record.accepted_index);
-  out += ' ';
-  AppendInt(&out, record.epoch);
-  out += ' ';
-  AppendInt(&out, record.target_node);
-  out += ' ';
-  AppendInt(&out, record.target_label);
-  out += ' ';
-  AppendInt(&out, record.budget);
-  out += ' ';
-  AppendInt(&out, record.priority);
-  AppendLengthPrefixed(&out, record.version);
-  FinishRecord(&out);
-  return AppendDurable(fd_, out);
-}
-
-Status ServiceJournalWriter::AppendChurn(const ServiceChurnRecord& record) {
-  std::string out = "g ";
-  AppendInt(&out, record.epoch);
-  out += ' ';
-  AppendInt(&out, static_cast<int64_t>(record.bumped_tickets.size()));
-  for (int64_t t : record.bumped_tickets) {
-    out += ' ';
-    AppendInt(&out, t);
-  }
-  out += ' ';
-  AppendInt(&out, static_cast<int64_t>(record.added.size()));
-  AppendEdgeList(&out, record.added);
-  out += ' ';
-  AppendInt(&out, static_cast<int64_t>(record.removed.size()));
-  AppendEdgeList(&out, record.removed);
-  AppendLengthPrefixed(&out, record.version);
-  FinishRecord(&out);
-  return AppendDurable(fd_, out);
-}
-
-Status ServiceJournalWriter::AppendComplete(
-    const ServiceCompleteRecord& record) {
-  std::string out = "t ";
-  AppendInt(&out, record.ticket);
-  out += ' ';
-  AppendInt(&out, record.attempts);
-  out += ' ';
-  AppendInt(&out, record.effective_budget);
-  out += ' ';
-  AppendInt(&out, record.epoch);
-  out += ' ';
-  AppendInt(&out, static_cast<int64_t>(record.result.status.code()));
-  out += ' ';
-  AppendInt(&out, static_cast<int64_t>(record.result.added_edges.size()));
-  AppendEdgeList(&out, record.result.added_edges);
-  AppendLengthPrefixed(&out, record.result.status.message());
-  FinishRecord(&out);
-  return AppendDurable(fd_, out);
 }
 
 }  // namespace geattack

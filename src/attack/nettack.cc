@@ -70,7 +70,7 @@ AttackResult Nettack::Attack(const AttackContext& ctx,
     Tensor degp1_t(static_cast<int64_t>(degp1.size()), 1);
     for (size_t i = 0; i < degp1.size(); ++i)
       degp1_t.at(static_cast<int64_t>(i), 0) = degp1[i];
-    norm = GcnRenormalizeAfterAdds(norm, degp1_t, {Edge(v, best)});
+    norm = GcnRenormalizeAfterFlips(norm, degp1_t, {Edge(v, best)}, {});
     degp1[static_cast<size_t>(v)] += 1.0;
     degp1[static_cast<size_t>(best)] += 1.0;
     current.AddEdge(v, best);

@@ -21,7 +21,7 @@
 namespace geattack {
 
 /// Stable outcome codes.  The numeric values are part of the attack-journal
-/// on-disk format ("geajournal v1"/"v2") — append new codes, never renumber.
+/// on-disk format ("geajournal v3") — append new codes, never renumber.
 enum class StatusCode : int64_t {
   kOk = 0,
   kError = 1,            ///< Exception or non-finite blowup inside a task.

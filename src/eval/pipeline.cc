@@ -51,8 +51,8 @@ Tensor PerturbedLogits(const AttackContext& ctx, const AttackResult& result,
   }
   // One normalized clean CSR is shared across every target; each target
   // only patches the values incident to its added edges.
-  const CsrMatrix perturbed = GcnRenormalizeAfterAdds(
-      ctx.clean_norm_csr, ctx.clean_degp1, result.added_edges);
+  const CsrMatrix perturbed = GcnRenormalizeAfterFlips(
+      ctx.clean_norm_csr, ctx.clean_degp1, result.added_edges, {});
   return f32_values ? ctx.model->LogitsF32(perturbed, ctx.data->features)
                     : ctx.model->Logits(perturbed, ctx.data->features);
 }

@@ -310,57 +310,6 @@ CsrMatrix ApplyEdgeFlips(const CsrMatrix& adjacency,
   return CsrMatrix(std::move(out), std::move(values));
 }
 
-CsrMatrix GcnRenormalizeAfterAdds(const CsrMatrix& norm_adjacency,
-                                  const Tensor& degp1,
-                                  const std::vector<Edge>& added) {
-  GEA_CHECK(!norm_adjacency.empty());
-  const int64_t n = norm_adjacency.rows();
-  GEA_CHECK(degp1.rows() == n && degp1.cols() == 1);
-  if (added.empty()) return norm_adjacency;
-
-  // Per-node degree deltas from the additions.
-  std::vector<int64_t> delta(ZU(n), 0);
-  for (const Edge& e : added) {
-    ++delta[ZU(e.u)];
-    ++delta[ZU(e.v)];
-  }
-
-  // Merge the new slots in.  Seeding them with 1/√(d̃_u·d̃_v) of the *old*
-  // degrees lets the uniform rescaling pass below finish the job for old
-  // and new entries alike.
-  CsrMatrix out = ApplyEdgeFlips(norm_adjacency, added, /*removed=*/{});
-  const CsrPattern& p = *out.pattern();
-  std::vector<double>& val = out.mutable_values();
-  auto entry_of = [&p](int64_t r, int64_t c) {
-    const int64_t lo = p.row_ptr[ZU(r)], hi = p.row_ptr[ZU(r + 1)];
-    const auto it = std::lower_bound(p.col_idx.begin() + lo,
-                                     p.col_idx.begin() + hi, c);
-    GEA_CHECK(it != p.col_idx.begin() + hi && *it == c);
-    return static_cast<int64_t>(it - p.col_idx.begin());
-  };
-  for (const Edge& e : added) {
-    const double seed = 1.0 / std::sqrt(degp1.at(e.u, 0) * degp1.at(e.v, 0));
-    val[ZU(entry_of(e.u, e.v))] = seed;
-    val[ZU(entry_of(e.v, e.u))] = seed;
-  }
-
-  // Rescale every entry incident to a touched node i by
-  // f_i = √(d̃_i / (d̃_i + δ_i)) — once from the row side, once from the
-  // column side, so (i, j) with both endpoints touched gets f_i·f_j and the
-  // diagonal gets f_i².
-  for (int64_t i = 0; i < n; ++i) {
-    if (delta[ZU(i)] == 0) continue;
-    const double f = std::sqrt(
-        degp1.at(i, 0) /
-        (degp1.at(i, 0) + static_cast<double>(delta[ZU(i)])));
-    for (int64_t e = p.row_ptr[ZU(i)]; e < p.row_ptr[ZU(i + 1)]; ++e) {
-      val[ZU(e)] *= f;
-      val[ZU(entry_of(p.col_idx[ZU(e)], i))] *= f;
-    }
-  }
-  return out;
-}
-
 CsrMatrix GcnRenormalizeAfterFlips(const CsrMatrix& norm_adjacency,
                                    const Tensor& degp1,
                                    const std::vector<Edge>& added,

@@ -127,30 +127,18 @@ CsrMatrix ApplyEdgeFlips(const CsrMatrix& adjacency,
                          const std::vector<Edge>& added,
                          const std::vector<Edge>& removed);
 
-/// Incremental GCN re-normalization after edge additions: given the
-/// *normalized* adjacency Ã of the current graph and its d̃ = degree + 1
-/// per node, returns Ã of (A + added).  Only entries incident to a touched
-/// node are recomputed — the merge copies the pattern and then rescales
-/// O(Σ_{touched} deg) values in place, versus GcnNormalizeCsr's full
-/// O(n + nnz) rebuild plus a CSR construction of the raw adjacency.  The
-/// eval pipeline reuses one normalized clean CSR across all targets this
-/// way.  `added` edges must be absent; repeated endpoints are fine.
-CsrMatrix GcnRenormalizeAfterAdds(const CsrMatrix& norm_adjacency,
-                                  const Tensor& degp1,
-                                  const std::vector<Edge>& added);
-
-/// General incremental GCN re-normalization over an edge-flip batch (adds
-/// AND removals): given Ã of the current 0/1 graph and its d̃ = degree + 1,
-/// returns Ã of (A + added − removed).  Unlike GcnRenormalizeAfterAdds'
-/// rescale-in-place, every entry incident to a touched node is *recomputed*
-/// from the new degrees with exactly GcnNormalizeCsr's per-entry expression
-/// (all underlying adjacency values are 1.0, and d̃ is an exact small
-/// integer in a double), so the result is bit-identical to
+/// Incremental GCN re-normalization over an edge-flip batch (adds and/or
+/// removals): given Ã of the current 0/1 graph and its d̃ = degree + 1,
+/// returns Ã of (A + added − removed).  Every entry incident to a touched
+/// node is *recomputed* from the new degrees with exactly GcnNormalizeCsr's
+/// per-entry expression (all underlying adjacency values are 1.0, and d̃ is
+/// an exact small integer in a double), so the result is bit-identical to
 /// GcnNormalizeCsr(churned.CsrAdjacency()) — the property that lets a live
-/// snapshot built incrementally epoch over epoch stand in for a fresh
-/// context without perturbing any attacker's picks.  `added` edges must be
-/// absent, `removed` edges present, and no removal may empty a node past
-/// d̃ = 1 (the self loop).  O(n + nnz + Σ_touched deg·log deg).
+/// snapshot built incrementally epoch over epoch, a perturbed eval graph,
+/// or Nettack's committed picks stand in for a fresh normalization without
+/// perturbing any pick.  `added` edges must be absent, `removed` edges
+/// present, and no removal may empty a node past d̃ = 1 (the self loop).
+/// O(n + nnz + Σ_touched deg·log deg).
 CsrMatrix GcnRenormalizeAfterFlips(const CsrMatrix& norm_adjacency,
                                    const Tensor& degp1,
                                    const std::vector<Edge>& added,

@@ -1,5 +1,5 @@
 // Shared bulk-text tokenization helpers for the line-oriented formats
-// ("geadata v1", "geagcn v1", "geajournal v1").
+// ("geadata v1", "geagcn v1", "geajournal v3").
 //
 // Writing: formatting through operator<< costs a virtual call and a locale
 // lookup per token; at 1M nodes (tens of millions of tokens) that dominates

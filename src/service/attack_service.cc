@@ -154,7 +154,7 @@ ChurnResult AttackService::UpdateGraph(const std::string& version,
     rec.bumped_tickets = bumped;
     rec.added = ChurnEdgesOf(batch.added);
     rec.removed = ChurnEdgesOf(batch.removed);
-    const Status appended = wal_.AppendChurn(rec);
+    const Status appended = wal_.Append(std::move(rec));
     GEA_CHECK(appended.ok());
   }
   it->second = next;
@@ -174,8 +174,8 @@ RecoveryReport AttackService::Recover() {
   recovered_ = true;
   if (!journaling()) return report;
 
-  ServiceJournalLoadResult load =
-      LoadServiceJournal(config_.journal_path, config_.base_seed);
+  const JournalLoadResult load =
+      LoadJournal(config_.journal_path, config_.base_seed, /*count=*/-1);
   report.status = load.status;
   if (!load.status.ok()) {
     // Structured data loss: a complete record failed its CRC.  Everything
@@ -188,11 +188,12 @@ RecoveryReport AttackService::Recover() {
 
   // Pre-pass: every version in the WAL must have been re-registered (at
   // epoch 0) before Recover() — fail before mutating anything.
-  for (const ServiceJournalEvent& ev : load.events) {
+  for (const JournalRecord& record : load.records) {
     const std::string* version = nullptr;
-    if (ev.kind == ServiceJournalEvent::Kind::kChurn) version = &ev.churn.version;
-    if (ev.kind == ServiceJournalEvent::Kind::kSubmit)
-      version = &ev.submit.version;
+    if (const auto* churn = std::get_if<ServiceChurnRecord>(&record))
+      version = &churn->version;
+    if (const auto* submit = std::get_if<ServiceSubmitRecord>(&record))
+      version = &submit->version;
     if (version != nullptr && graphs_.count(*version) == 0) {
       report.status = Status::InvalidArgument(
           "service WAL references graph version '" + *version +
@@ -210,84 +211,78 @@ RecoveryReport AttackService::Recover() {
     GEA_CHECK(kv.second->epoch == 0);
     epochs[kv.first][0] = kv.second;
   }
-  for (const ServiceJournalEvent& ev : load.events) {
-    switch (ev.kind) {
-      case ServiceJournalEvent::Kind::kChurn: {
-        const ServiceChurnRecord& rec = ev.churn;
-        const auto git = graphs_.find(rec.version);
-        GEA_CHECK(git != graphs_.end());
-        GEA_CHECK(rec.epoch == git->second->epoch + 1);
-        ChurnBatch batch;
-        for (const Edge& e : rec.added) batch.added.push_back({e.u, e.v, 1.0});
-        for (const Edge& e : rec.removed)
-          batch.removed.push_back({e.u, e.v, 1.0});
-        auto next = ApplyChurn(git->second, batch);
-        git->second = next;
-        epochs[rec.version][rec.epoch] = next;
-        for (const int64_t ticket : rec.bumped_tickets) {
-          const auto eit = entries_.find(ticket);
-          GEA_CHECK(eit != entries_.end());
-          GEA_CHECK(eit->second->state == EntryState::kQueued);
-          eit->second->snap = next;
-        }
-        ++stats_.churn_batches;
-        stats_.requeued_stale +=
-            static_cast<int64_t>(rec.bumped_tickets.size());
-        ++report.churn_batches;
-        break;
-      }
-      case ServiceJournalEvent::Kind::kSubmit: {
-        const ServiceSubmitRecord& rec = ev.submit;
-        GEA_CHECK(entries_.count(rec.ticket) == 0);
-        const auto vit = epochs.find(rec.version);
-        GEA_CHECK(vit != epochs.end());
-        const auto sit = vit->second.find(rec.epoch);
-        GEA_CHECK(sit != vit->second.end());
-        auto entry = std::make_unique<Entry>();
-        Entry* e = entry.get();
-        e->ticket = rec.ticket;
-        e->request.graph = rec.version;
-        e->request.target_node = rec.target_node;
-        e->request.target_label = rec.target_label;
-        e->request.budget = rec.budget;
-        e->request.priority = static_cast<int32_t>(rec.priority);
-        // deadline_ms stays 0: wall-clock deadlines are never journaled
-        // (no clock bits), so recovered work re-runs without one.
-        e->snap = sit->second;
-        e->accepted_index = rec.accepted_index;
-        e->submitted_at = std::chrono::steady_clock::now();
-        e->out.accepted_index = e->accepted_index;
-        e->out.effective_budget = rec.budget;
-        entries_.emplace(e->ticket, std::move(entry));
-        pending_.push_back(e);
-        next_ticket_ = std::max(next_ticket_, rec.ticket + 1);
-        next_accepted_index_ =
-            std::max(next_accepted_index_, rec.accepted_index + 1);
-        ++stats_.submitted;
-        ++stats_.accepted;
-        break;
-      }
-      case ServiceJournalEvent::Kind::kComplete: {
-        const ServiceCompleteRecord& rec = ev.complete;
-        const auto eit = entries_.find(rec.ticket);
+  for (const JournalRecord& record : load.records) {
+    if (const auto* churn = std::get_if<ServiceChurnRecord>(&record)) {
+      const ServiceChurnRecord& rec = *churn;
+      const auto git = graphs_.find(rec.version);
+      GEA_CHECK(git != graphs_.end());
+      GEA_CHECK(rec.epoch == git->second->epoch + 1);
+      ChurnBatch batch;
+      for (const Edge& e : rec.added) batch.added.push_back({e.u, e.v, 1.0});
+      for (const Edge& e : rec.removed)
+        batch.removed.push_back({e.u, e.v, 1.0});
+      auto next = ApplyChurn(git->second, batch);
+      git->second = next;
+      epochs[rec.version][rec.epoch] = next;
+      for (const int64_t ticket : rec.bumped_tickets) {
+        const auto eit = entries_.find(ticket);
         GEA_CHECK(eit != entries_.end());
-        Entry* e = eit->second.get();
-        GEA_CHECK(e->state == EntryState::kQueued);
-        GEA_CHECK(e->snap->epoch == rec.epoch);
-        pending_.erase(std::find(pending_.begin(), pending_.end(), e));
-        e->attempt = static_cast<int>(rec.attempts);
-        e->out.attempts = e->attempt;
-        e->out.seed = rec.attempts > 0
-                          ? AttemptSeed(config_.base_seed, e->accepted_index,
-                                        e->attempt - 1)
-                          : 0;
-        e->out.effective_budget = rec.effective_budget;
-        Finalize(e, rec.result, /*from_replay=*/true);
-        ++stats_.replayed_results;
-        ++report.replayed_results;
-        report.completed_tickets.push_back(rec.ticket);
-        break;
+        GEA_CHECK(eit->second->state == EntryState::kQueued);
+        eit->second->snap = next;
       }
+      ++stats_.churn_batches;
+      stats_.requeued_stale +=
+          static_cast<int64_t>(rec.bumped_tickets.size());
+      ++report.churn_batches;
+    } else if (const auto* submit =
+                   std::get_if<ServiceSubmitRecord>(&record)) {
+      const ServiceSubmitRecord& rec = *submit;
+      GEA_CHECK(entries_.count(rec.ticket) == 0);
+      const auto vit = epochs.find(rec.version);
+      GEA_CHECK(vit != epochs.end());
+      const auto sit = vit->second.find(rec.epoch);
+      GEA_CHECK(sit != vit->second.end());
+      auto entry = std::make_unique<Entry>();
+      Entry* e = entry.get();
+      e->ticket = rec.ticket;
+      e->request.graph = rec.version;
+      e->request.target_node = rec.target_node;
+      e->request.target_label = rec.target_label;
+      e->request.budget = rec.budget;
+      e->request.priority = static_cast<int32_t>(rec.priority);
+      // deadline_ms stays 0: wall-clock deadlines are never journaled
+      // (no clock bits), so recovered work re-runs without one.
+      e->snap = sit->second;
+      e->accepted_index = rec.accepted_index;
+      e->submitted_at = std::chrono::steady_clock::now();
+      e->out.accepted_index = e->accepted_index;
+      e->out.effective_budget = rec.budget;
+      entries_.emplace(e->ticket, std::move(entry));
+      pending_.push_back(e);
+      next_ticket_ = std::max(next_ticket_, rec.ticket + 1);
+      next_accepted_index_ =
+          std::max(next_accepted_index_, rec.accepted_index + 1);
+      ++stats_.submitted;
+      ++stats_.accepted;
+    } else {
+      const auto& rec = std::get<ServiceCompleteRecord>(record);
+      const auto eit = entries_.find(rec.ticket);
+      GEA_CHECK(eit != entries_.end());
+      Entry* e = eit->second.get();
+      GEA_CHECK(e->state == EntryState::kQueued);
+      GEA_CHECK(e->snap->epoch == rec.epoch);
+      pending_.erase(std::find(pending_.begin(), pending_.end(), e));
+      e->attempt = static_cast<int>(rec.attempts);
+      e->out.attempts = e->attempt;
+      e->out.seed = rec.attempts > 0
+                        ? AttemptSeed(config_.base_seed, e->accepted_index,
+                                      e->attempt - 1)
+                        : 0;
+      e->out.effective_budget = rec.effective_budget;
+      Finalize(e, rec.result, /*from_replay=*/true);
+      ++stats_.replayed_results;
+      ++report.replayed_results;
+      report.completed_tickets.push_back(rec.ticket);
     }
   }
 
@@ -298,9 +293,8 @@ RecoveryReport AttackService::Recover() {
   report.pending_tickets.reserve(pending_.size());
   for (const Entry* e : pending_) report.pending_tickets.push_back(e->ticket);
 
-  const int64_t resume_offset = load.header_ok ? load.valid_bytes : 0;
-  const Status opened =
-      wal_.Open(config_.journal_path, resume_offset, config_.base_seed);
+  const Status opened = wal_.Open(config_.journal_path, load.valid_bytes,
+                                 config_.base_seed, /*count=*/-1);
   // A WAL that cannot open means the recovery contract cannot be kept —
   // fail loudly rather than run undurably (same stance as the driver).
   GEA_CHECK(opened.ok());
@@ -394,7 +388,7 @@ Admission AttackService::Submit(const AttackServiceRequest& request) {
     rec.budget = request.budget;
     rec.priority = request.priority;
     rec.version = request.graph;
-    const Status appended = wal_.AppendSubmit(rec);
+    const Status appended = wal_.Append(std::move(rec));
     GEA_CHECK(appended.ok());
   }
   entries_.emplace(e->ticket, std::move(entry));
@@ -506,7 +500,7 @@ void AttackService::Finalize(Entry* e, AttackResult result, bool from_replay) {
     rec.epoch = e->out.epoch;
     rec.result.status = e->out.result.status;
     rec.result.added_edges = e->out.result.added_edges;
-    const Status appended = wal_.AppendComplete(rec);
+    const Status appended = wal_.Append(std::move(rec));
     GEA_CHECK(appended.ok());
   }
   e->state = EntryState::kDone;

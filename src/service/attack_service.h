@@ -405,7 +405,7 @@ class AttackService {
   bool stopping_ = false;
   bool recovered_ = false;            ///< Recover() already ran.
   ServiceStats stats_;
-  ServiceJournalWriter wal_;
+  JournalWriter wal_;
 
   std::thread dispatcher_;
 };

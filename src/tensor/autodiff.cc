@@ -444,7 +444,7 @@ Var SpmmValueGrad(std::shared_ptr<const CsrPattern> pattern, const Var& g,
 namespace {
 
 /// Symbolic rebuild of the GCN normalization chain over a square pattern —
-/// the shared backward machinery of GcnNormValues / GcnNormSpMM.  All
+/// the backward machinery of GcnNormValues.  All
 /// gathers and scatters are expressed through the pattern itself:
 /// SpmmValueGrad(p, x, 1) gathers x[r_e], SpmmValueGrad(p, 1, x) gathers
 /// x[c_e], SpMMValues(p, y, 1) row-scatters Σ_{r_e=i} y_e, and the
@@ -516,41 +516,6 @@ Var GcnNormValues(std::shared_ptr<const CsrPattern> pattern, const Var& values,
         return {gv, need_od ? gdeg : Var()};
       },
       "gcn_norm_values");
-}
-
-Var GcnNormSpMM(std::shared_ptr<const CsrPattern> pattern, const Var& values,
-                const Var& b, const Var& out_deg) {
-  GEA_CHECK(pattern != nullptr);
-  GEA_CHECK(pattern->rows == pattern->cols);
-  GEA_CHECK(values.defined() && b.defined());
-  GEA_CHECK(values.cols() == 1 && values.rows() == pattern->nnz());
-  GEA_CHECK(b.rows() == pattern->cols);
-  const int64_t n = pattern->rows;
-  Var od = out_deg.defined() ? out_deg : Constant(Tensor::Zeros(n, 1), "od0");
-  GEA_CHECK(od.rows() == n && od.cols() == 1);
-  Tensor out = GcnNormSpmmRaw(*pattern, values.value().data(),
-                              od.value().data().data(), b.value());
-  const bool need_v = values.requires_grad();
-  const bool need_b = b.requires_grad();
-  const bool need_od = od.requires_grad();
-  return MakeOp(
-      std::move(out), {values, b, od},
-      [pattern, values, b, od, need_v, need_b,
-       need_od](const Var& g) -> std::vector<Var> {
-        const NormChain c = BuildNormChain(pattern, values, od);
-        Var gv, gdeg;
-        if (need_v || need_od) {
-          Var gnorm = SpmmValueGrad(pattern, g, b);  // ∂L/∂Ã_e.
-          NormChainGrads(pattern, c, values, gnorm, need_v, &gv, &gdeg);
-        }
-        Var gb;
-        if (need_b) {
-          Var norm = Mul(Mul(values, c.dr), c.dc);
-          gb = SpMMValues(c.t_pattern, PermuteRows(norm, c.perm), g);
-        }
-        return {gv, gb, need_od ? gdeg : Var()};
-      },
-      "gcn_norm_spmm");
 }
 
 Var PermuteRows(const Var& a,

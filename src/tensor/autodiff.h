@@ -205,29 +205,15 @@ Var PermuteRows(const Var& a, std::shared_ptr<const std::vector<int64_t>> perm);
 /// entries `values` ((nnz,1), pattern order): returns the (nnz,1)
 /// normalized values Ã_e = v_e·d̃^{-1/2}[r_e]·d̃^{-1/2}[c_e] with
 /// d̃ = pattern row sums + out_deg, as ONE node (GcnNormValuesRaw kernel)
-/// instead of the five rowsum/pow/gather/scale nodes.  Use this when the
-/// normalized values feed several products (the two-layer GCN) so the
-/// backward chain is built once and the accumulated ∂L/∂Ã flows through it
-/// a single time; use GcnNormSpMM when normalize+SpMM happen exactly once.
-/// Double-backward-safe; bit-identical forward to the unfused composition.
+/// instead of the five rowsum/pow/gather/scale nodes; feed the result to
+/// SpMMValues.  The normalized values can feed several products (the
+/// two-layer GCN): the backward chain is built once and the accumulated
+/// ∂L/∂Ã flows through it a single time.  `out_deg` is an optional (n,1)
+/// out-of-view degree correction (undefined = zeros); gradients flow into
+/// `values` and `out_deg`.  Double-backward-safe; bit-identical forward to
+/// the unfused composition.
 Var GcnNormValues(std::shared_ptr<const CsrPattern> pattern, const Var& values,
                   const Var& out_deg = Var());
-
-/// Fused GCN-normalize + SpMM over a square pattern with differentiable
-/// entries `values` ((nnz,1), pattern order):
-///   d̃_i = Σ_{e ∈ row i} v_e + out_deg_i,
-///   Ã_e = v_e · d̃^{-1/2}[r_e] · d̃^{-1/2}[c_e],
-///   out = Ã·b,
-/// in one kernel pass (GcnNormSpmmRaw) instead of the five separate
-/// rowsum/pow/gather/scale/SpMMValues nodes — the forward of the sparse
-/// candidate-edge attack path.  `out_deg` is an optional (n,1) out-of-view
-/// degree correction (undefined = zeros); gradients flow into `values`, `b`,
-/// and `out_deg`.  The backward is composed from SpMMValues/SpmmValueGrad/
-/// PermuteRows/Pow nodes, so gradients of any order are available and
-/// GEAttack's hypergradient rides through it unchanged.  Bit-identical
-/// forward values to the unfused composition.
-Var GcnNormSpMM(std::shared_ptr<const CsrPattern> pattern, const Var& values,
-                const Var& b, const Var& out_deg = Var());
 
 // ----- Column-block ops (edge-feature assembly). ------------------------------
 

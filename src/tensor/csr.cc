@@ -60,9 +60,9 @@ namespace {
 #define GEA_RESTRICT
 #endif
 
-/// Shared CSR × dense accumulation core.  `value(e, i)` yields the entry
-/// value for nnz position e in row i, so the plain, float32-storage, and
-/// fused-normalization kernels all run through one tuned loop nest.
+/// Shared CSR × dense accumulation core.  `value(e)` yields the entry value
+/// for nnz position e, so the plain and float32-storage kernels run through
+/// one tuned loop nest.
 ///
 /// Determinism contract: for every output element (i, j) the products are
 /// accumulated in ascending-e order into a single accumulator, exactly like
@@ -92,7 +92,7 @@ void SpmmAccumulate(const CsrPattern& pattern, const Tensor& dense,
       // runs of b hits; a single sequential accumulator keeps the naive
       // summation order.
       double s = 0.0;
-      for (int64_t e = e0; e < e1; ++e) s += value(e, i) * b[col[e]];
+      for (int64_t e = e0; e < e1; ++e) s += value(e) * b[col[e]];
       o[i] = s;
       continue;
     }
@@ -104,8 +104,8 @@ void SpmmAccumulate(const CsrPattern& pattern, const Tensor& dense,
         // Two entries per pass (their updates stay as separate statements,
         // preserving per-element order); adjacent sorted columns make the
         // two dense rows prefetch-friendly.
-        const double v0 = value(e, i);
-        const double v1 = value(e + 1, i);
+        const double v0 = value(e);
+        const double v1 = value(e + 1);
         const double* GEA_RESTRICT b0 = b + col[e] * k;
         const double* GEA_RESTRICT b1 = b + col[e + 1] * k;
 #ifdef _OPENMP
@@ -117,7 +117,7 @@ void SpmmAccumulate(const CsrPattern& pattern, const Tensor& dense,
         }
       }
       if (e < e1) {
-        const double v0 = value(e, i);
+        const double v0 = value(e);
         const double* GEA_RESTRICT b0 = b + col[e] * k;
 #ifdef _OPENMP
 #pragma omp simd
@@ -137,7 +137,7 @@ Tensor SpmmRaw(const CsrPattern& pattern, const std::vector<double>& values,
   Tensor out(pattern.rows, dense.cols());
   const double* GEA_RESTRICT v = values.data();
   SpmmAccumulate(pattern, dense, out.mutable_data().data(),
-                 [v](int64_t e, int64_t) { return v[e]; });
+                 [v](int64_t e) { return v[e]; });
   return out;
 }
 
@@ -148,7 +148,7 @@ Tensor SpmmRawF32(const CsrPattern& pattern, const std::vector<float>& values,
   Tensor out(pattern.rows, dense.cols());
   const float* GEA_RESTRICT v = values.data();
   SpmmAccumulate(pattern, dense, out.mutable_data().data(),
-                 [v](int64_t e, int64_t) { return static_cast<double>(v[e]); });
+                 [v](int64_t e) { return static_cast<double>(v[e]); });
   return out;
 }
 
@@ -205,28 +205,6 @@ Tensor GcnNormValuesRaw(const CsrPattern& pattern,
          ++e)
       o[e] = (v[e] * si) * s[col[e]];
   }
-  return out;
-}
-
-Tensor GcnNormSpmmRaw(const CsrPattern& pattern,
-                      const std::vector<double>& values, const double* out_deg,
-                      const Tensor& dense) {
-  GEA_CHECK(pattern.rows == pattern.cols);
-  GEA_CHECK(static_cast<int64_t>(values.size()) == pattern.nnz());
-  GEA_CHECK(pattern.cols == dense.rows());
-  const int64_t n = pattern.rows;
-  // Pass 1: d̃^{-1/2} per node; pass 2 accumulates with the normalized
-  // value (v_e·s_r)·s_c computed on the fly — no (nnz,1) intermediates are
-  // ever materialized.
-  const std::vector<double> dinv = NormDinv(pattern, values, out_deg);
-  Tensor out(n, dense.cols());
-  const double* GEA_RESTRICT v = values.data();
-  const int64_t* GEA_RESTRICT col = pattern.col_idx.data();
-  const double* GEA_RESTRICT s = dinv.data();
-  SpmmAccumulate(pattern, dense, out.mutable_data().data(),
-                 [v, col, s](int64_t e, int64_t i) {
-                   return (v[e] * s[i]) * s[col[e]];
-                 });
   return out;
 }
 

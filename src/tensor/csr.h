@@ -84,25 +84,15 @@ Tensor SpmmRawF32(const CsrPattern& pattern, const std::vector<float>& values,
 /// Converts a value array to float32 storage for SpmmRawF32.
 std::vector<float> ValuesToF32(const std::vector<double>& values);
 
-/// The normalization half of GcnNormSpmmRaw as a standalone kernel: returns
-/// the (nnz,1) normalized values Ã_e = v_e·d̃^{-1/2}[r_e]·d̃^{-1/2}[c_e]
-/// with d̃ = pattern row sums + out_deg, in one pass (no degree/gather
-/// intermediates).  Bit-identical to the unfused composition.
+/// GCN normalization kernel over a square pattern: returns the (nnz,1)
+/// normalized values Ã_e = v_e·d̃^{-1/2}[r_e]·d̃^{-1/2}[c_e] with
+/// d̃ = pattern row sums + out_deg, in one pass (no degree/gather
+/// intermediates).  `out_deg` (nullable, length pattern.rows) adds
+/// out-of-view degree mass exactly like SparseAttackForward's correction.
+/// Bit-identical to the unfused rowsum/pow/gather/scale composition.
 Tensor GcnNormValuesRaw(const CsrPattern& pattern,
                         const std::vector<double>& values,
                         const double* out_deg);
-
-/// Fused GCN-normalize + SpMM kernel over a square pattern:
-///   d̃_i = Σ_{e ∈ row i} v_e + out_deg_i,   Ã_e = v_e·d̃^{-1/2}[r_e]·d̃^{-1/2}[c_e],
-///   out  = Ã·dense,
-/// computed in one pass over the nonzeros instead of materializing the
-/// degree, gather, and normalized-value intermediates.  `out_deg` (nullable,
-/// length pattern.rows) adds out-of-view degree mass exactly like
-/// SparseAttackForward's correction.  Bit-identical to the unfused
-/// rowsum/pow/gather/scale/SpmmRaw composition.
-Tensor GcnNormSpmmRaw(const CsrPattern& pattern,
-                      const std::vector<double>& values, const double* out_deg,
-                      const Tensor& dense);
 
 /// A sparse matrix in CSR form: a shared immutable pattern plus a value per
 /// stored entry.  Value semantics like Tensor: copy duplicates the values

@@ -10,6 +10,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -485,12 +486,13 @@ TEST(JournalTest, CallerSkippedTargetIsNotJournaledAndResumeAttacksIt) {
       RunMultiTargetAttack(f->ctx, inner, requests, config);
   ASSERT_EQ(first[doomed].status.code(), StatusCode::kSkipped);
 
-  const JournalLoadResult journal = LoadAttackJournal(
+  const JournalLoadResult journal = LoadJournal(
       path, config.base_seed, static_cast<int64_t>(requests.size()));
   ASSERT_TRUE(journal.status.ok()) << journal.status.ToString();
   EXPECT_EQ(journal.records.size(), requests.size() - 1);
   for (const JournalRecord& record : journal.records)
-    EXPECT_NE(record.request_index, static_cast<int64_t>(doomed));
+    EXPECT_NE(std::get<TargetRecord>(record).request_index,
+              static_cast<int64_t>(doomed));
 
   FaultInjectingAttack resumed_run(&inner);
   const std::vector<AttackResult> resumed =
@@ -531,14 +533,14 @@ TEST(JournalTest, BitFlipInsideCompleteRecordSurfacesAsDataLoss) {
   WriteFileOrDie(path, text);
 
   const int64_t n = static_cast<int64_t>(f->requests.size());
-  const JournalLoadResult loaded = LoadAttackJournal(path, 81, n);
+  const JournalLoadResult loaded = LoadJournal(path, 81, n);
   EXPECT_TRUE(loaded.header_ok);
   EXPECT_EQ(loaded.status.code(), StatusCode::kDataLoss)
       << loaded.status.ToString();
   // Replay stops BEFORE the corrupt record: only the first survives, and
   // the resume offset points at the corrupt tail so it gets truncated.
   ASSERT_EQ(loaded.records.size(), 1u);
-  EXPECT_EQ(loaded.records[0].request_index, 0);
+  EXPECT_EQ(std::get<TargetRecord>(loaded.records[0]).request_index, 0);
 
   // Resume: everything from the flipped record on is recomputed, and the
   // merged results converge back to the uninterrupted run byte for byte.
@@ -554,188 +556,6 @@ TEST(JournalTest, BitFlipInsideCompleteRecordSurfacesAsDataLoss) {
       RunMultiTargetAttack(f->ctx, replay, f->requests, config);
   EXPECT_EQ(replay.attack_calls(), 0);
   ExpectSameResults(replayed, uninterrupted);
-  std::remove(path.c_str());
-}
-
-/// Downgrades a freshly written v3 journal to the v1 format a pre-CRC build
-/// would have left behind ("v1" header, no "c <crc>" trailers), keeping
-/// only the first `keep_records` records as if the run was killed mid-way.
-std::string DowngradeToV1(const std::string& text, int keep_records) {
-  std::string out = text;
-  const size_t v3 = out.find("geajournal v3");
-  EXPECT_NE(v3, std::string::npos);
-  out.replace(v3, 13, "geajournal v1");
-  size_t cut = 0;
-  for (int record = 0; record < keep_records; ++record) {
-    cut = out.find(" ;\n", cut);
-    EXPECT_NE(cut, std::string::npos);
-    cut += 3;
-  }
-  out = out.substr(0, cut);
-  size_t crc_at;
-  while ((crc_at = out.find("\nc ")) != std::string::npos) {
-    const size_t term = out.find(" ;\n", crc_at);
-    EXPECT_NE(term, std::string::npos);
-    out.replace(crc_at, term + 3 - crc_at, "\n;\n");
-  }
-  return out;
-}
-
-TEST(JournalTest, LegacyV1JournalLoadsAndMigratesToV3OnResume) {
-  Fixture* f = SharedFixture();
-  ASSERT_GE(f->requests.size(), 4u);
-  const std::string path = testing::TempDir() + "geattack_v1_journal.txt";
-  std::remove(path.c_str());
-  const FgaAttack attack(/*targeted=*/true);
-
-  AttackDriverConfig config;
-  config.base_seed = 82;
-  config.num_threads = 1;
-  config.journal_path = path;
-  const std::vector<AttackResult> uninterrupted =
-      RunMultiTargetAttack(f->ctx, attack, f->requests, config);
-
-  WriteFileOrDie(path, DowngradeToV1(ReadFileOrDie(path), 2));
-
-  const int64_t n = static_cast<int64_t>(f->requests.size());
-  const JournalLoadResult loaded = LoadAttackJournal(path, 82, n);
-  EXPECT_TRUE(loaded.header_ok);
-  EXPECT_TRUE(loaded.legacy);
-  EXPECT_TRUE(loaded.status.ok()) << loaded.status.ToString();
-  EXPECT_EQ(loaded.records.size(), 2u);
-
-  // Resume replays the two v1 records, recomputes the rest, and rewrites
-  // the file as v3 so the CRC protection covers the migrated records too.
-  FaultInjectingAttack counted(&attack);
-  const std::vector<AttackResult> resumed =
-      RunMultiTargetAttack(f->ctx, counted, f->requests, config);
-  EXPECT_EQ(counted.attack_calls(), n - 2);
-  ExpectSameResults(resumed, uninterrupted);
-  EXPECT_EQ(ReadFileOrDie(path).compare(0, 13, "geajournal v3"), 0);
-
-  FaultInjectingAttack replay(&attack);
-  const std::vector<AttackResult> replayed =
-      RunMultiTargetAttack(f->ctx, replay, f->requests, config);
-  EXPECT_EQ(replay.attack_calls(), 0);
-  ExpectSameResults(replayed, uninterrupted);
-  std::remove(path.c_str());
-}
-
-TEST(JournalTest, V2JournalResumesInPlaceWithoutRewrite) {
-  // v2 differs from v3 only in the header byte — `r` records are
-  // grammar-identical and CRC'd — so a v2 journal is NOT legacy: the
-  // driver appends under the existing header instead of rewriting.
-  Fixture* f = SharedFixture();
-  ASSERT_GE(f->requests.size(), 4u);
-  const std::string path = testing::TempDir() + "geattack_v2_journal.txt";
-  std::remove(path.c_str());
-  const FgaAttack attack(/*targeted=*/true);
-
-  AttackDriverConfig config;
-  config.base_seed = 85;
-  config.num_threads = 1;
-  config.journal_path = path;
-  const std::vector<AttackResult> uninterrupted =
-      RunMultiTargetAttack(f->ctx, attack, f->requests, config);
-
-  // Downgrade the header to v2 and keep two records, as a killed pre-v3
-  // build would have left it.
-  std::string text = ReadFileOrDie(path);
-  const size_t v3 = text.find("geajournal v3");
-  ASSERT_NE(v3, std::string::npos);
-  text.replace(v3, 13, "geajournal v2");
-  size_t cut = 0;
-  for (int record = 0; record < 2; ++record) {
-    cut = text.find(" ;\n", cut);
-    ASSERT_NE(cut, std::string::npos);
-    cut += 3;
-  }
-  WriteFileOrDie(path, text.substr(0, cut));
-
-  const int64_t n = static_cast<int64_t>(f->requests.size());
-  const JournalLoadResult loaded = LoadAttackJournal(path, 85, n);
-  EXPECT_TRUE(loaded.header_ok);
-  EXPECT_FALSE(loaded.legacy);
-  EXPECT_EQ(loaded.records.size(), 2u);
-
-  FaultInjectingAttack counted(&attack);
-  const std::vector<AttackResult> resumed =
-      RunMultiTargetAttack(f->ctx, counted, f->requests, config);
-  EXPECT_EQ(counted.attack_calls(), n - 2);
-  ExpectSameResults(resumed, uninterrupted);
-  // Still v2: resume-in-place never rewrites a CRC-capable journal.
-  EXPECT_EQ(ReadFileOrDie(path).compare(0, 13, "geajournal v2"), 0);
-  std::remove(path.c_str());
-}
-
-TEST(JournalTest, MigrationInterruptedMidRewriteIsAtomic) {
-  // The v1 -> v3 migration rewrites into `<path>.rewrite.tmp` and
-  // rename(2)s it over the journal.  A kill at ANY point therefore leaves
-  // one of exactly two states — the intact v1 file (plus a stale tmp the
-  // next migration truncates) before the rename, or the complete v3 file
-  // after it — never a half-rewritten hybrid.  This test pins both sides
-  // of the rename.
-  Fixture* f = SharedFixture();
-  ASSERT_GE(f->requests.size(), 4u);
-  const std::string path = testing::TempDir() + "geattack_mid_rewrite.txt";
-  const std::string tmp = path + ".rewrite.tmp";
-  std::remove(path.c_str());
-  std::remove(tmp.c_str());
-  const FgaAttack attack(/*targeted=*/true);
-
-  AttackDriverConfig config;
-  config.base_seed = 86;
-  config.num_threads = 1;
-  config.journal_path = path;
-  const std::vector<AttackResult> uninterrupted =
-      RunMultiTargetAttack(f->ctx, attack, f->requests, config);
-  const std::string v3_text = ReadFileOrDie(path);
-  const std::string v1_text = DowngradeToV1(v3_text, 2);
-
-  // --- Killed BEFORE the rename: intact v1 + a half-written tmp. ---
-  WriteFileOrDie(path, v1_text);
-  WriteFileOrDie(tmp, v3_text.substr(0, v3_text.size() / 2));
-
-  const int64_t n = static_cast<int64_t>(f->requests.size());
-  // The journal itself is untouched by the crashed migration: it still
-  // loads as a healthy two-record v1 file (the loader never looks at tmp).
-  const JournalLoadResult before = LoadAttackJournal(path, 86, n);
-  EXPECT_TRUE(before.header_ok);
-  EXPECT_TRUE(before.legacy);
-  EXPECT_TRUE(before.status.ok()) << before.status.ToString();
-  EXPECT_EQ(before.records.size(), 2u);
-
-  // Resume: the retried migration truncates the stale tmp, completes the
-  // rename, and the run converges byte-identically.
-  FaultInjectingAttack counted(&attack);
-  const std::vector<AttackResult> resumed =
-      RunMultiTargetAttack(f->ctx, counted, f->requests, config);
-  EXPECT_EQ(counted.attack_calls(), n - 2);
-  ExpectSameResults(resumed, uninterrupted);
-  EXPECT_EQ(ReadFileOrDie(path).compare(0, 13, "geajournal v3"), 0);
-  // The rename consumed the tmp file.
-  EXPECT_FALSE(std::ifstream(tmp).good());
-
-  // --- Killed AFTER the rename (before any post-migration append): the
-  // journal is a complete v3 file holding the migrated records. ---
-  size_t cut = 0;
-  for (int record = 0; record < 2; ++record) {
-    cut = v3_text.find(" ;\n", cut);
-    ASSERT_NE(cut, std::string::npos);
-    cut += 3;
-  }
-  WriteFileOrDie(path, v3_text.substr(0, cut));
-  const JournalLoadResult after = LoadAttackJournal(path, 86, n);
-  EXPECT_TRUE(after.header_ok);
-  EXPECT_FALSE(after.legacy);
-  EXPECT_TRUE(after.status.ok()) << after.status.ToString();
-  EXPECT_EQ(after.records.size(), 2u);
-
-  FaultInjectingAttack counted_after(&attack);
-  const std::vector<AttackResult> resumed_after =
-      RunMultiTargetAttack(f->ctx, counted_after, f->requests, config);
-  EXPECT_EQ(counted_after.attack_calls(), n - 2);
-  ExpectSameResults(resumed_after, uninterrupted);
   std::remove(path.c_str());
 }
 

@@ -144,9 +144,9 @@ Var SpmmValuesThroughDense(const Var& b) {
 }
 
 /// A small symmetric square pattern with strictly positive row sums under
-/// positive values — the shape class GcnNormSpMM is defined on (degrees
+/// positive values — the shape class GcnNormValues is defined on (degrees
 /// must stay positive for d̃^{-1/2}).
-std::shared_ptr<const CsrPattern> NormSpmmTestPattern() {
+std::shared_ptr<const CsrPattern> NormTestPattern() {
   // 4x4 symmetric structure with diagonal slots: edges (0,1), (0,2), (1,3),
   // (2,3) plus all self loops -> 12 stored entries.
   auto p = std::make_shared<CsrPattern>();
@@ -156,21 +156,22 @@ std::shared_ptr<const CsrPattern> NormSpmmTestPattern() {
   return p;
 }
 
-Var GcnNormSpmmLoss(const Var& values) {
-  // sum((GcnNormSpMM(v)·B)²) through the fused node — differentiating the
-  // sparse entries, including the degree-normalization coupling.
-  auto p = NormSpmmTestPattern();
+Var GcnNormThenSpmmLoss(const Var& values) {
+  // sum((GcnNormValues(v)·B)²) through the fused normalization node and
+  // one SpMMValues product — differentiating the sparse entries, including
+  // the degree-normalization coupling.
+  auto p = NormTestPattern();
   Rng rng(700);
   Var b = Constant(rng.NormalTensor(p->cols, 3, 0, 1));
   Var od = Constant(rng.UniformTensor(p->rows, 1, 0.1, 0.6));
-  Var y = GcnNormSpMM(p, values, b, od);
+  Var y = SpMMValues(p, GcnNormValues(p, values, od), b);
   return Sum(Mul(y, y));
 }
 
 Var GcnNormValuesSharedLoss(const Var& values) {
   // The sparse two-layer structure: ONE fused normalization node shared by
   // two SpMMValues products — the exact graph SparseGcnLogitsVar builds.
-  auto p = NormSpmmTestPattern();
+  auto p = NormTestPattern();
   Rng rng(705);
   Var od = Constant(rng.UniformTensor(p->rows, 1, 0.1, 0.6));
   Var norm = GcnNormValues(p, values, od);
@@ -180,12 +181,12 @@ Var GcnNormValuesSharedLoss(const Var& values) {
   return Sum(Mul(y, y));
 }
 
-Var GcnNormSpmmThroughDense(const Var& b) {
+Var GcnNormThenSpmmThroughDense(const Var& b) {
   // Same expression differentiated through the dense operand.
-  auto p = NormSpmmTestPattern();
+  auto p = NormTestPattern();
   Rng rng(701);
   Var values = Constant(rng.UniformTensor(p->nnz(), 1, 0.4, 1.2));
-  Var y = GcnNormSpMM(p, values, b);
+  Var y = SpMMValues(p, GcnNormValues(p, values), b);
   return Sum(Mul(y, y));
 }
 
@@ -265,12 +266,12 @@ INSTANTIATE_TEST_SUITE_P(
                  true},
         GradCase{"spmm_values_through_dense", SpmmValuesThroughDense, 4, 3,
                  -1, 1, true},
-        GradCase{"gcn_norm_spmm_values", GcnNormSpmmLoss, 12, 1, 0.4, 1.2,
-                 true},
+        GradCase{"gcn_norm_then_spmm_values", GcnNormThenSpmmLoss, 12, 1,
+                 0.4, 1.2, true},
         GradCase{"gcn_norm_values_shared", GcnNormValuesSharedLoss, 12, 1,
                  0.4, 1.2, false},
-        GradCase{"gcn_norm_spmm_through_dense", GcnNormSpmmThroughDense, 4, 3,
-                 -1, 1, true},
+        GradCase{"gcn_norm_then_spmm_through_dense",
+                 GcnNormThenSpmmThroughDense, 4, 3, -1, 1, true},
         GradCase{"sigmoid_mask_loss", SigmoidMaskLoss, 4, 4, -2, 2, true},
         GradCase{"normalized_adjacency", NormalizedAdjacencyLoss, 4, 4, 0.1,
                  0.9, true},
@@ -321,34 +322,39 @@ TEST(SpmmGradTest, JointGradientsMatchFiniteDifferences) {
             2e-5);
 }
 
-TEST(GcnNormSpmmTest, ForwardMatchesUnfusedCompositionBitwise) {
-  // The fused kernel must be *bit-identical* to the separate
-  // rowsum/pow/gather/scale/SpMM nodes it replaces — the attack
-  // equivalence gates compare greedy argmin picks and tolerate no drift.
-  auto p = NormSpmmTestPattern();
+TEST(GcnNormValuesTest, ForwardMatchesUnfusedCompositionBitwise) {
+  // The fused normalization node, and the SpMM over it, must be
+  // *bit-identical* to the separate rowsum/pow/gather/scale nodes it
+  // replaces — the attack equivalence gates compare greedy argmin picks
+  // and tolerate no drift.
+  auto p = NormTestPattern();
   Rng rng(702);
   const Tensor v0 = rng.UniformTensor(p->nnz(), 1, 0.4, 1.2);
   const Tensor b0 = rng.NormalTensor(p->cols, 3, 0, 1);
   const Tensor od0 = rng.UniformTensor(p->rows, 1, 0.1, 0.5);
   Var v = Constant(v0), b = Constant(b0), od = Constant(od0);
-  Var fused = GcnNormSpMM(p, v, b, od);
+  Var fused = GcnNormValues(p, v, od);
 
   Var ones = Constant(Tensor::Ones(p->rows, 1));
   Var deg = Add(SpMMValues(p, v, ones), od);
   Var dinv = Pow(deg, -0.5);
   Var dr = SpmmValueGrad(p, dinv, ones);
   Var dc = SpmmValueGrad(p, ones, dinv);
-  Var unfused = SpMMValues(p, Mul(Mul(v, dr), dc), b);
+  Var unfused = Mul(Mul(v, dr), dc);
   EXPECT_EQ(fused.value().MaxAbsDiff(unfused.value()), 0.0);
+  EXPECT_EQ(SpMMValues(p, fused, b)
+                .value()
+                .MaxAbsDiff(SpMMValues(p, unfused, b).value()),
+            0.0);
 }
 
-TEST(GcnNormSpmmTest, OutDegreeGradientMatchesFiniteDifferences) {
-  auto p = NormSpmmTestPattern();
+TEST(GcnNormValuesTest, OutDegreeGradientMatchesFiniteDifferences) {
+  auto p = NormTestPattern();
   Rng rng(703);
   const Tensor v0 = rng.UniformTensor(p->nnz(), 1, 0.4, 1.2);
   const Tensor b0 = rng.NormalTensor(p->cols, 2, 0, 1);
   auto fn = [&](const Var& od) -> Var {
-    Var y = GcnNormSpMM(p, Constant(v0), Constant(b0), od);
+    Var y = SpMMValues(p, GcnNormValues(p, Constant(v0), od), Constant(b0));
     return Sum(Mul(y, y));
   };
   const Tensor od0 = Rng(704).UniformTensor(p->rows, 1, 0.2, 0.8);

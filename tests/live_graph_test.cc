@@ -14,7 +14,8 @@
 //     ball keeps its pin AND its picks (old == new epoch, verified by
 //     replaying on both), churn inside the ball re-pins it;
 //   * WAL recovery is byte-identical: a fresh service replaying the journal
-//     serves every completed result bit-for-bit, and a torn tail turns
+//     serves every completed result bit-for-bit, and a torn tail — or a
+//     complete record failing its CRC, reported as kDataLoss — turns
 //     exactly the lost ticket back into pending work that recomputes to the
 //     same bits.
 
@@ -344,6 +345,18 @@ TEST(RenormalizeTest, FlipBatchBitIdenticalToFreshNormalize) {
   const CsrMatrix incremental = GcnRenormalizeAfterFlips(
       f->ctx.clean_norm_csr, f->ctx.clean_degp1, adds, rems);
   ExpectSameCsr(incremental, fresh, "renormalize-after-flips");
+
+  // Adds only, sharing endpoint 0 (degree delta 3 there): the batch shape
+  // the eval pipeline's perturbed logits and Nettack's commits renormalize.
+  const Graph& g = f->data.graph;
+  std::vector<Edge> star;
+  for (int64_t j = 1; j < g.num_nodes() && star.size() < 3; ++j)
+    if (!g.HasEdge(0, j)) star.emplace_back(0, j);
+  ASSERT_EQ(star.size(), 3u);
+  ExpectSameCsr(GcnRenormalizeAfterFlips(f->ctx.clean_norm_csr,
+                                         f->ctx.clean_degp1, star, {}),
+                GcnNormalizeCsr(ApplyEdgeFlips(g.CsrAdjacency(), star, {})),
+                "renormalize-after-adds");
 }
 
 TEST(SnapshotTest, ApplyChurnMatchesFreshContextBitIdentical) {
@@ -640,22 +653,24 @@ void ExpectSameServiceResult(const ServiceResult& got,
   }
 }
 
-TEST(WalRecoveryTest, ReplayIsByteIdenticalAndTornTailRecomputes) {
-  Fixture* f = SharedFixture();
-  ASSERT_GE(f->requests.size(), 6u);
-  const FgaAttack inner(/*targeted=*/true);
-  const std::string path = testing::TempDir() + "geattack_service_wal.txt";
-  std::remove(path.c_str());
-
+AttackServiceConfig WalConfig(const std::string& path) {
   AttackServiceConfig cfg;
   cfg.base_seed = 9103;
   cfg.num_threads = 2;
   cfg.wave_size = 4;
   cfg.queue_capacity = 64;
   cfg.journal_path = path;
+  return cfg;
+}
 
+/// The WAL tests' original run on a fresh journal: 3 targets on epoch 0, a
+/// churn, 3 on epoch 1.  Returns the six results in ticket order.
+std::vector<ServiceResult> RunWalScript(const AttackServiceConfig& cfg,
+                                        const TargetedAttack& inner) {
+  Fixture* f = SharedFixture();
+  std::remove(cfg.journal_path.c_str());
   const std::vector<Edge> adds = AbsentEdges(f->data.graph, 2);
-  ASSERT_EQ(adds.size(), 2u);
+  EXPECT_EQ(adds.size(), 2u);
   const ChurnBatch batch = BatchOf(adds, {});
 
   const auto submit = [&f](AttackService* service, size_t i) {
@@ -667,33 +682,50 @@ TEST(WalRecoveryTest, ReplayIsByteIdenticalAndTornTailRecomputes) {
     const Admission a = service->Submit(req);
     EXPECT_TRUE(a.status.ok()) << a.status.ToString();
     EXPECT_EQ(a.ticket, static_cast<int64_t>(i));
-    return a.ticket;
   };
 
-  // --- The original run: 3 targets on epoch 0, churn, 3 on epoch 1. ---
   std::vector<ServiceResult> original(6);
-  {
-    AttackService service(cfg);
-    ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model,
-                                      NoOwn(&inner)).ok());
-    const RecoveryReport blank = service.Recover();
-    ASSERT_TRUE(blank.status.ok()) << blank.status.ToString();
-    EXPECT_EQ(blank.churn_batches, 0);
-    EXPECT_EQ(blank.replayed_results, 0);
-    EXPECT_EQ(blank.pending, 0);
+  AttackService service(cfg);
+  EXPECT_TRUE(
+      service.RegisterGraph("g", f->data, *f->model, NoOwn(&inner)).ok());
+  const RecoveryReport blank = service.Recover();
+  EXPECT_TRUE(blank.status.ok()) << blank.status.ToString();
+  EXPECT_EQ(blank.churn_batches, 0);
+  EXPECT_EQ(blank.replayed_results, 0);
+  EXPECT_EQ(blank.pending, 0);
 
-    for (size_t i = 0; i < 3; ++i) submit(&service, i);
-    service.Drain();
-    const ChurnResult cr = service.UpdateGraph("g", batch);
-    ASSERT_TRUE(cr.status.ok()) << cr.status.ToString();
-    EXPECT_EQ(cr.epoch, 1);
-    for (size_t i = 3; i < 6; ++i) submit(&service, i);
-    service.Drain();
-    for (size_t i = 0; i < 6; ++i) {
-      original[i] = service.Take(static_cast<int64_t>(i));
-      EXPECT_EQ(original[i].epoch, i < 3 ? 0 : 1) << "ticket " << i;
-    }
+  for (size_t i = 0; i < 3; ++i) submit(&service, i);
+  service.Drain();
+  const ChurnResult cr = service.UpdateGraph("g", batch);
+  EXPECT_TRUE(cr.status.ok()) << cr.status.ToString();
+  EXPECT_EQ(cr.epoch, 1);
+  for (size_t i = 3; i < 6; ++i) submit(&service, i);
+  service.Drain();
+  for (size_t i = 0; i < 6; ++i) {
+    original[i] = service.Take(static_cast<int64_t>(i));
+    EXPECT_EQ(original[i].epoch, i < 3 ? 0 : 1) << "ticket " << i;
   }
+  return original;
+}
+
+std::string ReadWal(const std::string& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+void WriteWal(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::trunc);
+  out << text;
+}
+
+TEST(WalRecoveryTest, ReplayIsByteIdenticalAndTornTailRecomputes) {
+  Fixture* f = SharedFixture();
+  ASSERT_GE(f->requests.size(), 6u);
+  const FgaAttack inner(/*targeted=*/true);
+  const std::string path = testing::TempDir() + "geattack_service_wal.txt";
+  const AttackServiceConfig cfg = WalConfig(path);
+  const std::vector<ServiceResult> original = RunWalScript(cfg, inner);
 
   // --- Crash + recover: everything must come back from records alone. ---
   {
@@ -721,18 +753,10 @@ TEST(WalRecoveryTest, ReplayIsByteIdenticalAndTornTailRecomputes) {
 
   // --- Torn tail: chop the LAST completion record mid-line.  Exactly that
   // ticket must come back as pending and recompute to the same bits. ---
-  std::string text;
-  {
-    std::ifstream in(path);
-    text.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
-  }
+  const std::string text = ReadWal(path);
   const size_t cut = text.rfind("\nt ");
   ASSERT_NE(cut, std::string::npos);
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << text.substr(0, cut + 4);
-  }
+  WriteWal(path, text.substr(0, cut + 4));
   {
     AttackService service(cfg);
     ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model,
@@ -749,6 +773,53 @@ TEST(WalRecoveryTest, ReplayIsByteIdenticalAndTornTailRecomputes) {
                               "post-torn-tail ticket " + std::to_string(i),
                               /*replayed=*/i != lost);
     EXPECT_EQ(service.stats().replayed_results, 5);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(WalRecoveryTest, CorruptCompletionIsDataLossAndRecomputes) {
+  // A torn tail truncates silently; a *complete* `t` record whose bytes
+  // changed after its fsync fails its CRC.  Recover() reports kDataLoss,
+  // replays everything before it, and re-runs exactly that ticket on its
+  // recorded seed stream, to the same bits.
+  Fixture* f = SharedFixture();
+  ASSERT_GE(f->requests.size(), 6u);
+  const FgaAttack inner(/*targeted=*/true);
+  const std::string path = testing::TempDir() + "geattack_service_wal_crc.txt";
+  const AttackServiceConfig cfg = WalConfig(path);
+  const std::vector<ServiceResult> original = RunWalScript(cfg, inner);
+
+  // Flip the ticket digit of the last record, a complete `t`: the record
+  // still parses, so only the CRC can tell it was tampered with.
+  std::string text = ReadWal(path);
+  const size_t last = text.rfind("\nt ");
+  ASSERT_NE(last, std::string::npos);
+  char& ticket_digit = text[last + 3];
+  ticket_digit = ticket_digit == '0' ? '1' : '0';
+  WriteWal(path, text);
+
+  // The first recovery surfaces the loss and recomputes the ticket (which
+  // truncates the corrupt record and journals the result again); the second
+  // finds a whole WAL and replays all six.
+  for (const bool corrupt : {true, false}) {
+    const std::string where = corrupt ? "corrupt WAL" : "repaired WAL";
+    AttackService service(cfg);
+    ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model,
+                                      NoOwn(&inner)).ok());
+    const RecoveryReport rec = service.Recover();
+    EXPECT_EQ(rec.status.code(),
+              corrupt ? StatusCode::kDataLoss : StatusCode::kOk)
+        << where << ": " << rec.status.ToString();
+    EXPECT_EQ(rec.churn_batches, 1) << where;
+    EXPECT_EQ(rec.replayed_results, corrupt ? 5 : 6) << where;
+    ASSERT_EQ(rec.pending, corrupt ? 1 : 0) << where;
+    const int64_t lost = corrupt ? rec.pending_tickets[0] : -1;
+    service.Drain();
+    for (int64_t i = 0; i < 6; ++i)
+      ExpectSameServiceResult(service.Take(i),
+                              original[static_cast<size_t>(i)],
+                              where + " ticket " + std::to_string(i),
+                              /*replayed=*/i != lost);
   }
   std::remove(path.c_str());
 }

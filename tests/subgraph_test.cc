@@ -2,8 +2,7 @@
 // differentiable forward built on it: structural invariants, the one-pass
 // builder against the former two-pass builder field by field, exact
 // agreement with the dense normalization/forward, the attackers' dense
-// outputs, and the incremental CSR re-normalization and Nettack trial-row
-// helpers.
+// outputs, and the Nettack trial-row helper.
 
 #include "src/graph/subgraph.h"
 
@@ -686,33 +685,6 @@ TEST(SparseForwardTest, SecondOrderThroughNormalizedValues) {
   Tensor w0 = rng.UniformTensor(view.num_candidates(), 1, 0.1, 0.9);
   geattack::testing::ExpectGradientsMatch(fn, w0, 2e-5);
   geattack::testing::ExpectSecondOrderMatch(fn, w0, 5e-4);
-}
-
-TEST(RenormalizeTest, MatchesFullNormalizationAfterAdds) {
-  Fixture* f = SharedFixture();
-  const Graph& g = f->data.graph;
-  const CsrMatrix clean = g.CsrAdjacency();
-  const CsrMatrix norm_clean = GcnNormalizeCsr(clean);
-  Tensor degp1(g.num_nodes(), 1);
-  for (int64_t i = 0; i < g.num_nodes(); ++i)
-    degp1.at(i, 0) = static_cast<double>(g.Degree(i)) + 1.0;
-
-  // A batch of additions sharing endpoints (deltas > 1 on node 0).
-  std::vector<Edge> added;
-  for (int64_t j = 0; j < g.num_nodes() && added.size() < 3; ++j)
-    if (j != 0 && !g.HasEdge(0, j)) added.emplace_back(0, j);
-  ASSERT_EQ(added.size(), 3u);
-
-  const CsrMatrix incremental =
-      GcnRenormalizeAfterAdds(norm_clean, degp1, added);
-  const CsrMatrix full =
-      GcnNormalizeCsr(ApplyEdgeFlips(clean, added, /*removed=*/{}));
-  ASSERT_EQ(incremental.nnz(), full.nnz());
-  double max_diff = 0.0;
-  for (size_t e = 0; e < full.values().size(); ++e)
-    max_diff = std::max(max_diff,
-                        std::abs(incremental.values()[e] - full.values()[e]));
-  EXPECT_LE(max_diff, 1e-12);
 }
 
 TEST(LinearizedTrialRowTest, MatchesDenseTrialNormalization) {

@@ -341,10 +341,10 @@ TEST(CsrTest, SpmmRawF32MatchesDoubleWithinStoragePrecision) {
   EXPECT_GT(f32.MaxAbsDiff(exact), 0.0);  // It really is a f32 store.
 }
 
-TEST(CsrTest, GcnNormSpmmRawMatchesUnfusedComputation) {
+TEST(CsrTest, GcnNormValuesRawMatchesUnfusedComputation) {
   // Symmetric positive-value square matrix with self loops so degrees stay
-  // positive; the fused kernel must match rowsum -> pow -> scale -> SpMM
-  // bit for bit.
+  // positive; the one-pass kernel must match rowsum -> pow -> scale bit for
+  // bit, with and without the out-of-view degree correction.
   Rng rng(11);
   const int64_t n = 8;
   Tensor a(n, n);
@@ -354,29 +354,27 @@ TEST(CsrTest, GcnNormSpmmRawMatchesUnfusedComputation) {
       if (rng.Bernoulli(0.4)) a.at(i, j) = a.at(j, i) = rng.Uniform(0.2, 1.0);
   }
   CsrMatrix m = CsrMatrix::FromDense(a);
-  Tensor out_deg = rng.UniformTensor(n, 1, 0.0, 0.7);
-  Tensor b = rng.NormalTensor(n, 5, 0, 1);
+  const Tensor out_deg = rng.UniformTensor(n, 1, 0.0, 0.7);
+  const CsrPattern& p = *m.pattern();
 
-  std::vector<double> norm(m.values().size());
-  std::vector<double> dinv(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    double d = 0.0;
-    for (int64_t e = m.pattern()->row_ptr[ZU(i)];
-         e < m.pattern()->row_ptr[ZU(i + 1)]; ++e)
-      d += m.values()[ZU(e)];
-    d += out_deg.at(i, 0);
-    dinv[ZU(i)] = std::pow(d, -0.5);
+  for (const double* od : {out_deg.data().data(),
+                           static_cast<const double*>(nullptr)}) {
+    std::vector<double> dinv(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      double d = 0.0;
+      for (int64_t e = p.row_ptr[ZU(i)]; e < p.row_ptr[ZU(i + 1)]; ++e)
+        d += m.values()[ZU(e)];
+      if (od != nullptr) d += od[i];
+      dinv[ZU(i)] = std::pow(d, -0.5);
+    }
+    Tensor norm(p.nnz(), 1);
+    for (int64_t i = 0; i < n; ++i)
+      for (int64_t e = p.row_ptr[ZU(i)]; e < p.row_ptr[ZU(i + 1)]; ++e)
+        norm.at(e, 0) = (m.values()[ZU(e)] * dinv[ZU(i)]) *
+                        dinv[ZU(p.col_idx[ZU(e)])];
+    EXPECT_EQ(GcnNormValuesRaw(p, m.values(), od).MaxAbsDiff(norm), 0.0)
+        << (od != nullptr ? "with out_deg" : "without out_deg");
   }
-  for (int64_t i = 0; i < n; ++i)
-    for (int64_t e = m.pattern()->row_ptr[ZU(i)];
-         e < m.pattern()->row_ptr[ZU(i + 1)]; ++e)
-      norm[ZU(e)] = (m.values()[ZU(e)] * dinv[ZU(i)]) *
-                    dinv[ZU(m.pattern()->col_idx[ZU(e)])];
-
-  const Tensor fused =
-      GcnNormSpmmRaw(*m.pattern(), m.values(), out_deg.data().data(), b);
-  const Tensor unfused = SpmmRaw(*m.pattern(), norm, b);
-  EXPECT_EQ(fused.MaxAbsDiff(unfused), 0.0);
 }
 
 }  // namespace
